@@ -9,7 +9,7 @@ BENCHTIME ?= 1s
 # engine-iteration benchmark (full vs incremental), serialized by
 # cmd/benchjson into BENCH_JSON. Set BASELINE to a previous file to
 # attach vs_baseline speedups.
-ENGINE_BENCH ?= ^(BenchmarkEngineIterate|BenchmarkBatchEmbed)$$
+ENGINE_BENCH ?= ^BenchmarkEngineIterate$$
 ENGINE_BENCHTIME ?= 5x
 BENCH_JSON ?= BENCH_0009.json
 BASELINE ?=

@@ -11,10 +11,8 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -219,84 +217,6 @@ func BenchmarkEmbedElmore(b *testing.B) {
 	}
 }
 
-// The Parallel variants run the same instances with the worker pool at
-// GOMAXPROCS; the serial benchmarks above (Parallelism unset) remain
-// comparable across commits. Results are bit-identical either way —
-// see determinism_test.go — so these measure scheduling overhead vs
-// fan-out gain at the current core count.
-
-func benchEmbedParallel(b *testing.B, mode embed.Mode) {
-	p := embedProblem(24, mode)
-	p.Parallelism = runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEmbed2DParallel(b *testing.B) {
-	benchEmbedParallel(b, embed.Mode{LexDepth: 1})
-}
-
-func BenchmarkEmbedLex3Parallel(b *testing.B) {
-	benchEmbedParallel(b, embed.Mode{LexDepth: 3})
-}
-
-// BenchmarkBatchEmbed measures the batch-embedding pass: a design's
-// worth of fanin-tree problems pushed through embed.SolveBatch with a
-// shared worker pool and pooled scratch, against the same problems
-// solved one at a time. Results are bit-identical either way (see
-// internal/oracle TestBatchEmbedAgreement); the delta is pure
-// scheduling and arena-reuse gain.
-func BenchmarkBatchEmbed(b *testing.B) {
-	mkBatch := func() []*embed.Problem {
-		modes := []embed.Mode{
-			{LexDepth: 1},
-			{LexDepth: 3},
-			{LexDepth: 1, Delay: embed.QuadraticDelay},
-		}
-		var probs []*embed.Problem
-		for i := 0; i < 12; i++ {
-			probs = append(probs, embedProblem(10+2*(i%3), modes[i%len(modes)]))
-		}
-		return probs
-	}
-	b.Run("serial", func(b *testing.B) {
-		probs := mkBatch()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, errs := embed.SolveBatch(context.Background(), probs, 1)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	// At least two workers so the shared-queue path runs even on one
-	// core (there it measures pure scheduling overhead; the gain needs
-	// cores).
-	batchWorkers := runtime.GOMAXPROCS(0)
-	if batchWorkers < 2 {
-		batchWorkers = 2
-	}
-	b.Run(fmt.Sprintf("batched/workers=%d", batchWorkers), func(b *testing.B) {
-		probs := mkBatch()
-		w := batchWorkers
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, errs := embed.SolveBatch(context.Background(), probs, w)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 func benchNetlist(b *testing.B, luts int) *netlist.Netlist {
 	b.Helper()
 	spec, _ := circuits.ByName("apex2")
@@ -310,7 +230,8 @@ func benchNetlist(b *testing.B, luts int) *netlist.Netlist {
 	return nl
 }
 
-func benchSTA(b *testing.B, workers int) {
+// BenchmarkSTA times one full STA pass over a placed 2000-LUT netlist.
+func BenchmarkSTA(b *testing.B) {
 	nl := benchNetlist(b, 2000)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	opts := place.Defaults()
@@ -323,17 +244,11 @@ func benchSTA(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.AnalyzeWorkers(nl, pl, dm, workers); err != nil {
+		if _, err := timing.Analyze(nl, pl, dm); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSTA pins the serial pass (workers=1) so ns/op stays
-// comparable across machines; the Parallel variant fans arrival
-// propagation out per level at GOMAXPROCS.
-func BenchmarkSTA(b *testing.B)         { benchSTA(b, 1) }
-func BenchmarkSTAParallel(b *testing.B) { benchSTA(b, runtime.GOMAXPROCS(0)) }
 
 // benchEngineIterate measures steady-state Fig. 11 iteration latency
 // in the small-perturbation regime the incremental engine targets: the
@@ -367,7 +282,7 @@ func benchEngineIterate(b *testing.B, luts int, incremental bool) {
 	// Perturbation: toggle the slack-richest LUT between its home slot
 	// and the nearest free one — a real placement change whose timing
 	// impact its slack absorbs, so the design stays converged.
-	a, err := timing.AnalyzeWorkers(e.Netlist, e.Placement, dm, 1)
+	a, err := timing.Analyze(e.Netlist, e.Placement, dm)
 	if err != nil {
 		b.Fatal(err)
 	}

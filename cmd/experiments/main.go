@@ -33,7 +33,6 @@ func main() {
 		skipRouting = flag.Bool("skip-routing", false, "skip routing; report placement-level metrics")
 		circuitsArg = flag.String("circuits", "", "comma-separated circuit subset (default: all 20)")
 		paper       = flag.Bool("paper", false, "also print the paper's reference averages")
-		parallel    = flag.Int("parallel", 0, "engine/STA worker count (0 = all CPUs, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -42,9 +41,6 @@ func main() {
 	cfg.PlaceEffort = *effort
 	cfg.Seed = *seed
 	cfg.SkipRouting = *skipRouting
-	if *parallel > 0 {
-		cfg.Engine.Parallelism = *parallel
-	}
 
 	suite := selectCircuits(*circuitsArg)
 	if len(suite) == 0 {

@@ -1,6 +1,6 @@
 // Command replcheck runs the correctness oracle suite from the command
 // line: brute-force frontier agreement for the embedding DP, and the
-// differential/metamorphic engine checks (serial/parallel bit-identity,
+// differential/metamorphic engine checks (repeated-run bit-identity,
 // functional equivalence, structural invariants, rename and translation
 // invariance) on randomized circuits.
 //
@@ -55,9 +55,6 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		for i := 0; i < *frontier; i++ {
 			p := oracle.GenProblem(rng, m.mode)
-			if i%3 == 2 {
-				p.Parallelism = 2
-			}
 			want, err := oracle.Frontier(p)
 			if err != nil {
 				fail("mode %s instance %d (seed %d): oracle refused: %v", m.name, i, *seed, err)

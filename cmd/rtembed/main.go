@@ -37,7 +37,6 @@ func main() {
 		outPath     = flag.String("out", "", "write the optimized netlist here")
 		report      = flag.Int("report", 0, "print the K worst timing paths after optimization")
 		plot        = flag.Bool("plot", false, "print ASCII floorplans before and after")
-		parallel    = flag.Int("parallel", 0, "engine/STA worker count (0 = all CPUs, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -124,9 +123,6 @@ func main() {
 	default:
 		ecfg := core.Default()
 		ecfg.Mode = algorithm.Mode()
-		if *parallel > 0 {
-			ecfg.Parallelism = *parallel
-		}
 		eng := core.New(nl, pl, cfg.Delay, ecfg)
 		st, err := eng.Run()
 		if err != nil {

@@ -3,9 +3,9 @@
 // external modules), a small Analyzer/Pass API, and the determinism and
 // correctness rules this codebase enforces on itself.
 //
-// The parallel embedding engine and the levelized STA promise
-// bit-identical results at any worker count. That contract is
-// structural — it survives only as long as nothing iterates an
+// The embedding engine and the STA promise bit-identical results on
+// every run of the same input, and the service runs many such jobs
+// concurrently. That contract is structural — it survives only as long as nothing iterates an
 // unordered map into an ordered decision, compares float costs with ==,
 // leaks pooled scratch, or writes shared state from a worker without a
 // proven disjointness argument. These rules make each of those failure

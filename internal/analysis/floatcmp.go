@@ -12,9 +12,9 @@ import (
 // FloatCmp flags exact equality on floating-point cost/delay values:
 // `==`, `!=`, and `switch` on a float expression. Accumulated float64
 // costs differ in the last bits depending on summation order, so exact
-// equality silently turns into "equal only on the path the serial code
-// happened to take" — the root cause of epsilon-less comparisons
-// breaking the parallel determinism contract.
+// equality silently turns into "equal only on the summation order the
+// code happened to take" — the root cause of epsilon-less comparisons
+// breaking the determinism contract.
 //
 // Exemptions:
 //

@@ -10,7 +10,7 @@ import (
 
 // mapRangePackages are the module-relative package subtrees in which
 // unordered map iteration is a determinism hazard: everything on the
-// serial/parallel bit-identical path from the embedder to the router.
+// bit-reproducible path from the embedder to the router.
 var mapRangePackages = []string{
 	"internal/embed",
 	"internal/timing",
@@ -25,7 +25,7 @@ var mapRangePackages = []string{
 // packages. Go randomizes map iteration order per run, so any loop that
 // feeds an ordered decision — appending to a slice, picking a max with
 // an ID tie, seeding a queue — makes results differ between runs and
-// breaks the serial/parallel reproducibility contract.
+// breaks the run-to-run reproducibility contract.
 //
 // Two shapes are recognized as safe and not flagged:
 //

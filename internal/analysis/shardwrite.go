@@ -18,7 +18,7 @@ import (
 //     over a distinct value since go1.22 per-iteration scoping);
 //   - atomic claim indices: locals defined from an Add on a
 //     sync/atomic counter (`ci := int(next.Add(1)) - 1`), the
-//     claimed-slot idiom of the parallel join.
+//     claimed-slot idiom.
 //
 // A direct captured write with no shard-key index on its path is
 // flagged. So is passing a captured reference to a module function

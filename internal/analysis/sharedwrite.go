@@ -12,14 +12,14 @@ const sharedWriteRule = "sharedwrite"
 
 // SharedWrite flags writes to captured state inside worker function
 // literals — closures launched with `go` or handed to a level/shard
-// runner (runLevel and friends). A worker that assigns through a
-// captured pointer, slice, or map races with its siblings unless the
-// written locations are provably disjoint.
+// runner. A worker that assigns through a captured pointer, slice, or
+// map races with its siblings unless the written locations are
+// provably disjoint.
 //
 // The one disjointness argument the analyzer accepts structurally is
 // the partitioned-write idiom this codebase is built on: every index on
 // the path to the written location is the worker's own parameter
-// (`a.Arr[id] = v` inside `func(id CellID) {...}` passed to runLevel).
+// (`a.Arr[id] = v` inside `func(id CellID) {...}` passed to a runner).
 // The runner hands each worker a distinct id, so writes cannot collide.
 // Any other captured write needs an explicit //replint:ignore with the
 // disjointness reasoning spelled out.

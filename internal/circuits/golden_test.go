@@ -68,7 +68,6 @@ func TestGolden(t *testing.T) {
 			cfg := core.Default()
 			cfg.MaxIters = 8
 			cfg.Patience = 4
-			cfg.Parallelism = 1
 			dm := arch.DelayModel{SegDelay: 1, LUTDelay: 2, IODelay: 0.5}
 			e := core.New(nl, pl, dm, cfg)
 			st, err := e.Run()

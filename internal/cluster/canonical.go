@@ -6,9 +6,9 @@
 // and serves repeats from the replicated result cache, and the
 // internode HTTP endpoints tying a static membership together.
 //
-// The whole layer leans on one engine property, pinned by the PR 4
-// oracle: identical normalized specs produce bit-identical results at
-// any parallelism. That makes the spec hash a sound content address —
+// The whole layer leans on one engine property, pinned by the
+// correctness oracle: identical normalized specs produce bit-identical
+// results. That makes the spec hash a sound content address —
 // a cached result is indistinguishable from a re-execution, so
 // deduplication is semantically invisible.
 package cluster
@@ -64,9 +64,9 @@ func ParseHash(s string) (Hash, error) {
 // CanonSpec is a job spec reduced to its semantic normal form: every
 // default applied, the algorithm in its canonical spelling, and inline
 // netlists re-serialized through the parser so whitespace, comments,
-// and blank lines cannot perturb the hash. Parallelism and TimeoutMS
-// are deliberately absent — they change how fast a job runs, never
-// what it computes, so they must not split the cache.
+// and blank lines cannot perturb the hash. TimeoutMS is deliberately
+// absent — it bounds how long a job may run, never what it computes,
+// so it must not split the cache.
 type CanonSpec struct {
 	Circuit  string
 	Scale    float64

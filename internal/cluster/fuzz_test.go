@@ -19,7 +19,7 @@ func FuzzCanonicalSpec(f *testing.F) {
 	f.Add(`{"circuit":"apex4","scale":0.5,"algo":"lex3","seed":7,"effort":1.5,"max_iters":20,"route":true}`)
 	f.Add(`{"netlist":"circuit t\ninput a\noutput o a\n"}`)
 	f.Add(`{"netlist":"circuit t\n\n# c\ninput a\nlut n a a\noutput o n\n"}`)
-	f.Add(`{"circuit":"ex5p","parallelism":8,"timeout_ms":1000}`)
+	f.Add(`{"circuit":"ex5p","timeout_ms":1000}`)
 	f.Add(`{"circuit":"ex5p","scale":1e308}`)
 	f.Add(`{"circuit":"","algo":"\x00"}`)
 	f.Add(`{`)

@@ -53,9 +53,9 @@ func waitGoroutines(base, slack int, d time.Duration) int {
 // TestRunContextDeadline is the cancellation contract end to end: a
 // large design under a deadline far shorter than its run time must
 // return context.DeadlineExceeded promptly — the cancellation points
-// threaded through the engine loop, the embed level scheduler, and the
-// STA workers all get exercised — and must not leak a single goroutine
-// (the -race build of this test is the memory-model check).
+// threaded through the engine loop, the embedder's join and wavefront,
+// and the STA passes all get exercised — and must not leak a single
+// goroutine.
 func TestRunContextDeadline(t *testing.T) {
 	d := buildLargeDesign(t)
 	dmod := arch.DefaultDelayModel()
@@ -64,9 +64,7 @@ func TestRunContextDeadline(t *testing.T) {
 	// sanity-check that the deadline is actually shorter than the work.
 	before := runtime.NumGoroutine()
 
-	cfg := Default()
-	cfg.Parallelism = 4
-	e := New(d.nl, d.pl, dmod, cfg)
+	e := New(d.nl, d.pl, dmod, Default())
 
 	const deadline = 100 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)

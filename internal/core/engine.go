@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -84,10 +83,6 @@ type Config struct {
 	// WireCongestionWeight scales that bias (cost per net of
 	// occupancy, in wire-cost units).
 	WireCongestionWeight float64
-	// Parallelism bounds worker goroutines in the embedder's join
-	// phase and the levelized STA. 1 forces the exact serial path;
-	// results are bit-identical at any setting.
-	Parallelism int
 	// Incremental enables the dirty-region iteration engine: STA
 	// re-propagates only through cones affected since the previous
 	// analysis, slowest-paths trees are patched instead of rebuilt,
@@ -131,7 +126,6 @@ func Default() Config {
 		LexCostSlackFrac:     0.25,
 		LexCostSlackAbs:      3.0,
 		WireCongestionWeight: 0.1,
-		Parallelism:          runtime.GOMAXPROCS(0),
 		Incremental:          true,
 	}
 }
@@ -382,7 +376,7 @@ func (e *Engine) analyze() (*timing.Analysis, error) {
 	}
 	defer e.timePhase(func(p *PhaseTimes) *float64 { return &p.Analyze })()
 	if !e.Config.Incremental {
-		return timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
+		return timing.AnalyzeContext(ctx, e.Netlist, e.Placement, e.Delay)
 	}
 	e.ensureIncremental()
 	a, err := e.inc.Analyze(ctx, e.Netlist, e.Placement)
@@ -403,7 +397,7 @@ func (e *Engine) ensureIncremental() {
 	if e.inc != nil {
 		return
 	}
-	e.inc = timing.NewIncremental(e.Delay, e.Config.Parallelism)
+	e.inc = timing.NewIncremental(e.Delay)
 	e.inc.MaxDirtyFrac = e.Config.IncrementalMaxDirtyFrac
 	e.sptc = timing.NewSPTCache(e.inc, 0)
 	e.emc = embed.NewCache(e.Config.FrontierCacheSize)
@@ -524,7 +518,6 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		PlaceCost:    e.placeCostFunc(g, ep),
 		MaxPerVertex: e.Config.MaxPerVertex,
 		DelayQuantum: e.Config.DelayQuantumFrac * a.Period,
-		Parallelism:  e.Config.Parallelism,
 	}
 	ctx := e.ctx
 	if ctx == nil {

@@ -28,7 +28,7 @@ import (
 // covers the fresh analysis's full range, which spans every cell the
 // current netlist can name.
 func (e *Engine) verifyAnalysis(ctx context.Context, a *timing.Analysis) error {
-	full, err := timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
+	full, err := timing.AnalyzeContext(ctx, e.Netlist, e.Placement, e.Delay)
 	if err != nil {
 		return err
 	}
@@ -167,8 +167,7 @@ func sigEqual(a, b embed.Sig) error {
 // occupant equivalence classes per window location, plus each tree
 // cell's own class, fanout, and the root's current location. Two
 // iterations with equal fingerprints hand the solver bitwise-identical
-// inputs, so the memoized frontier is exact. Parallelism is excluded:
-// the solver's results are bit-identical at any worker count.
+// inputs, so the memoized frontier is exact.
 func (e *Engine) embedFingerprint(g *embed.Graph, ep *rtree.EmbedProblem, rootFree bool, quantum float64) embed.Fingerprint {
 	h := embed.NewHasher()
 	g.Fingerprint(&h)

@@ -96,12 +96,12 @@ func TestAssertFrontierFires(t *testing.T) {
 	assertFrontier(m, []FrontierSol{{Sig: cheap}, {Sig: dominated}}, true)
 }
 
-// TestSolveUnderAssertions runs the solver end to end — serial and
-// parallel — with every invariant armed, on the same randomized
+// TestSolveUnderAssertions runs the solver end to end — alone and
+// concurrently — with every invariant armed, on the same randomized
 // instances the determinism suite uses.
 func TestSolveUnderAssertions(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		p := randomProblem(seed, 4, 4, 3, Mode{}, false)
-		solveBoth(t, "replassert-random", p, 2, 4)
+		solveConcurrent(t, "replassert-random", p, 2, 4)
 	}
 }

@@ -3,47 +3,60 @@ package embed
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-// These tests pin the tentpole guarantee of the parallel solver: at any
-// Parallelism setting the result — frontier, every per-vertex solution
-// set, and every extracted embedding — is bit-identical to the serial
-// DP. The merge order of join shards and the level scheduler must not
-// leak into the output.
+// These tests pin the solver's determinism: every Solve of a problem
+// returns a result bit-identical to a lone reference Solve — frontier,
+// every per-vertex solution set, and every extracted embedding — also
+// when several Solves of the same Problem run at once, as serve
+// workers and raced engine variants do. Concurrent solves share the
+// read-only Problem and the pooled solver scratch, so stale scratch
+// state or a hidden write to shared inputs shows up as a mismatch (or,
+// under -race, as a reported race).
 
-// solveBoth solves the same problem serially and with the given worker
-// counts and checks full result equality.
-func solveBoth(t *testing.T, name string, p *Problem, workerCounts ...int) {
+// solveConcurrent solves p alone as the reference, then again from
+// n goroutines at once for each n in counts, and checks every result
+// against the reference.
+func solveConcurrent(t *testing.T, name string, p *Problem, counts ...int) {
 	t.Helper()
-	serial := *p
-	serial.Parallelism = 1
-	want, err := serial.Solve()
+	want, err := p.Solve()
 	if err != nil {
-		t.Fatalf("%s: serial solve: %v", name, err)
+		t.Fatalf("%s: reference solve: %v", name, err)
 	}
-	for _, w := range workerCounts {
-		par := *p
-		par.Parallelism = w
-		got, err := par.Solve()
-		if err != nil {
-			t.Fatalf("%s: parallel(%d) solve: %v", name, w, err)
+	for _, n := range counts {
+		got := make([]*Result, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = p.Solve()
+			}(i)
 		}
-		resultsEqual(t, name, w, p, want, got)
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s: concurrent solve %d/%d: %v", name, i, n, errs[i])
+			}
+			resultsEqual(t, name, n, p, want, got[i])
+		}
 	}
 }
 
-func resultsEqual(t *testing.T, name string, workers int, p *Problem, want, got *Result) {
+func resultsEqual(t *testing.T, name string, solves int, p *Problem, want, got *Result) {
 	t.Helper()
 	if len(want.Frontier) != len(got.Frontier) {
-		t.Fatalf("%s[w=%d]: frontier size %d vs serial %d",
-			name, workers, len(got.Frontier), len(want.Frontier))
+		t.Fatalf("%s[n=%d]: frontier size %d vs reference %d",
+			name, solves, len(got.Frontier), len(want.Frontier))
 	}
 	for i := range want.Frontier {
 		if want.Frontier[i].Sig != got.Frontier[i].Sig ||
 			want.Frontier[i].Vertex != got.Frontier[i].Vertex {
-			t.Fatalf("%s[w=%d]: frontier[%d] = %+v, serial %+v",
-				name, workers, i, got.Frontier[i], want.Frontier[i])
+			t.Fatalf("%s[n=%d]: frontier[%d] = %+v, reference %+v",
+				name, solves, i, got.Frontier[i], want.Frontier[i])
 		}
 	}
 	// Every accepted solution set, node by node and vertex by vertex —
@@ -53,47 +66,47 @@ func resultsEqual(t *testing.T, name string, workers int, p *Problem, want, got 
 			ws := want.SolutionsAt(NodeID(id), v)
 			gs := got.SolutionsAt(NodeID(id), v)
 			if len(ws) != len(gs) {
-				t.Fatalf("%s[w=%d]: |A[%d][%d]| = %d, serial %d",
-					name, workers, id, v, len(gs), len(ws))
+				t.Fatalf("%s[n=%d]: |A[%d][%d]| = %d, reference %d",
+					name, solves, id, v, len(gs), len(ws))
 			}
 			for k := range ws {
 				if ws[k] != gs[k] {
-					t.Fatalf("%s[w=%d]: A[%d][%d][%d] = %+v, serial %+v",
-						name, workers, id, v, k, gs[k], ws[k])
+					t.Fatalf("%s[n=%d]: A[%d][%d][%d] = %+v, reference %+v",
+						name, solves, id, v, k, gs[k], ws[k])
 				}
 			}
 		}
 	}
 	// Extraction retraces provenance (joinRef/child indices), so this
-	// verifies the shard-merge rebasing, not just the signatures.
+	// verifies the join pools, not just the signatures.
 	for i := range want.Frontier {
 		we := want.Extract(want.Frontier[i])
 		ge := got.Extract(got.Frontier[i])
 		if we.WireCost != ge.WireCost {
-			t.Fatalf("%s[w=%d]: extract[%d] wire %v, serial %v",
-				name, workers, i, ge.WireCost, we.WireCost)
+			t.Fatalf("%s[n=%d]: extract[%d] wire %v, reference %v",
+				name, solves, i, ge.WireCost, we.WireCost)
 		}
 		for id := range we.NodeVertex {
 			if we.NodeVertex[id] != ge.NodeVertex[id] {
-				t.Fatalf("%s[w=%d]: extract[%d] node %d at %d, serial %d",
-					name, workers, i, id, ge.NodeVertex[id], we.NodeVertex[id])
+				t.Fatalf("%s[n=%d]: extract[%d] node %d at %d, reference %d",
+					name, solves, i, id, ge.NodeVertex[id], we.NodeVertex[id])
 			}
 			if len(we.Routes[id]) != len(ge.Routes[id]) {
-				t.Fatalf("%s[w=%d]: extract[%d] route %d length %d, serial %d",
-					name, workers, i, id, len(ge.Routes[id]), len(we.Routes[id]))
+				t.Fatalf("%s[n=%d]: extract[%d] route %d length %d, reference %d",
+					name, solves, i, id, len(ge.Routes[id]), len(we.Routes[id]))
 			}
 			for k := range we.Routes[id] {
 				if we.Routes[id][k] != ge.Routes[id][k] {
-					t.Fatalf("%s[w=%d]: extract[%d] route %d hop %d = %d, serial %d",
-						name, workers, i, id, k, ge.Routes[id][k], we.Routes[id][k])
+					t.Fatalf("%s[n=%d]: extract[%d] route %d hop %d = %d, reference %d",
+						name, solves, i, id, k, ge.Routes[id][k], we.Routes[id][k])
 				}
 			}
 		}
 	}
 }
 
-// TestSolveParallelWorkedExample runs the paper's Fig. 7 worked example
-// at several worker counts.
+// TestSolveParallelWorkedExample solves the paper's Fig. 7 worked
+// example from several goroutines at once.
 func TestSolveParallelWorkedExample(t *testing.T) {
 	g := lineGraph(5)
 	tree := &Tree{
@@ -118,7 +131,7 @@ func TestSolveParallelWorkedExample(t *testing.T) {
 			return float64(v)
 		},
 	}
-	solveBoth(t, "worked-example", p, 2, 3, 8)
+	solveConcurrent(t, "worked-example", p, 2, 3, 8)
 }
 
 // randomProblem builds a seeded random instance: a random tree of
@@ -188,7 +201,7 @@ func randomProblem(seed int64, w, h, leaves int, mode Mode, freeRoot bool) *Prob
 }
 
 // TestSolveParallelRandomized sweeps seeded random instances across all
-// signature modes, comparing every worker count against serial.
+// signature modes, comparing concurrent solves against the reference.
 func TestSolveParallelRandomized(t *testing.T) {
 	modes := []struct {
 		name string
@@ -208,18 +221,17 @@ func TestSolveParallelRandomized(t *testing.T) {
 	for _, m := range modes {
 		for _, seed := range seeds {
 			p := randomProblem(seed, 6, 6, 3+int(seed)%3, m.mode, false)
-			solveBoth(t, m.name, p, 2, 4)
+			solveConcurrent(t, m.name, p, 2, 4)
 		}
 	}
 }
 
 // TestSolveParallelFreeRoot covers the FF-relocation join, where the
-// root joins at every vertex — the widest fan-out the parallel merge
-// has to reassemble in order.
+// root joins at every vertex and the frontier spans all of them.
 func TestSolveParallelFreeRoot(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		p := randomProblem(seed, 6, 6, 4, Mode{LexDepth: 1}, true)
-		solveBoth(t, "free-root", p, 2, 4, 7)
+		solveConcurrent(t, "free-root", p, 2, 4, 7)
 	}
 }
 
@@ -231,6 +243,6 @@ func TestSolveParallelCapped(t *testing.T) {
 		p := randomProblem(seed, 7, 7, 5, Mode{LexDepth: 2}, false)
 		p.MaxPerVertex = 4
 		p.DelayQuantum = 0.5
-		solveBoth(t, "capped", p, 2, 4)
+		solveConcurrent(t, "capped", p, 2, 4)
 	}
 }

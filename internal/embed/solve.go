@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Problem is one fanin-tree embedding instance.
@@ -16,13 +15,11 @@ type Problem struct {
 	Mode Mode
 	// PlaceCost returns p_ij, the cost of placing internal tree node i
 	// at vertex j (Section II-A). nil means zero everywhere. Return
-	// +Inf to forbid a location for one node. Must be safe for
-	// concurrent calls when Parallelism > 1.
+	// +Inf to forbid a location for one node.
 	PlaceCost func(node NodeID, v Vertex) float64
 	// Capacity returns the remaining capacity of the slot at v for the
 	// overlap-control scheme; nil means capacity 1 everywhere. Only
-	// consulted when Mode.OverlapControl is set. Must be safe for
-	// concurrent calls when Parallelism > 1.
+	// consulted when Mode.OverlapControl is set.
 	Capacity func(v Vertex) int
 	// MaxPerVertex caps the solution list kept per (node, vertex);
 	// 0 keeps every non-dominated solution (exact). When the cap is
@@ -31,19 +28,6 @@ type Problem struct {
 	// approximation for very large instances.
 	MaxPerVertex int
 	DelayQuantum float64
-	// Parallelism is the worker count for the join fan-out and for
-	// processing independent subtrees concurrently. 0 or 1 runs the
-	// exact serial path; any value produces bit-identical results
-	// (joins are sharded over vertex ranges and merged back in vertex
-	// order, and sibling subtrees are data-independent).
-	Parallelism int
-}
-
-func (p *Problem) workers() int {
-	if p.Parallelism <= 1 {
-		return 1
-	}
-	return p.Parallelism
 }
 
 type solKind uint8
@@ -83,29 +67,28 @@ type Result struct {
 	sols     []nodeSols
 	Frontier []FrontierSol
 
-	// ctx and aborted implement cooperative cancellation: workers poll
-	// the flag (set once ctx is done) at amortized intervals and bail
-	// out; the partial DP state is discarded and SolveContext returns
+	// ctx and aborted implement cooperative cancellation: the DP polls
+	// the context at amortized intervals and latches aborted once it is
+	// done; the partial DP state is discarded and SolveContext returns
 	// ctx.Err(). Results are never partial: a run either completes
 	// bit-identically to the uncancelled one or fails with the
 	// context's error.
 	ctx     context.Context
-	aborted atomic.Bool
+	aborted bool
 }
 
 // ctxCheckStride amortizes ctx.Err polls over this many wavefront pops
-// or join vertices per worker; the flag check between strides is a
-// single atomic load.
+// or join vertices; between strides only the latched flag is read.
 const ctxCheckStride = 512
 
 // cancelled polls the context (amortized by the caller) and latches the
-// abort flag so sibling workers stop at their next stride boundary.
+// abort flag so the remaining node passes stop at their first check.
 func (r *Result) cancelled() bool {
-	if r.aborted.Load() {
+	if r.aborted {
 		return true
 	}
 	if r.ctx != nil && r.ctx.Err() != nil {
-		r.aborted.Store(true)
+		r.aborted = true
 		return true
 	}
 	return false
@@ -142,17 +125,14 @@ func getScratch() *solverScratch   { return scratchPool.Get().(*solverScratch) }
 func putScratch(sc *solverScratch) { scratchPool.Put(sc) }
 
 // Solve runs the embedding DP of Fig. 6 and returns the root tradeoff
-// curve sorted by increasing cost. With Parallelism > 1 independent
-// subtrees and join fan-outs run on a worker pool; the result is
-// bit-identical to the serial path.
+// curve sorted by increasing cost.
 func (p *Problem) Solve() (*Result, error) {
 	return p.SolveContext(context.Background())
 }
 
 // SolveContext is Solve under a context: the DP polls for cancellation
-// at amortized intervals in the level scheduler, join fan-out, and
-// wavefront expansion, abandons the run, and returns ctx.Err(). All
-// worker goroutines exit before the call returns, cancelled or not.
+// at amortized intervals in the join and the wavefront expansion,
+// abandons the run, and returns ctx.Err().
 func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 	if err := p.T.Validate(p.G.NumVertices()); err != nil {
 		return nil, err
@@ -162,128 +142,54 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 		//replint:ignore hotalloc -- one-time per-node table setup before the DP starts, not per-pop work
 		r.sols[i].at = make([][]solution, p.G.NumVertices())
 	}
-	workers := p.workers()
-	if workers > 1 {
-		r.runLevels(workers)
-	} else {
-		sc := getScratch()
-		for _, id := range p.T.PostOrder() {
-			if id == p.T.Root || r.cancelled() {
-				break // root is handled in finish; cancel abandons the DP
-			}
-			r.processNode(id, 1, sc)
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, id := range p.T.PostOrder() {
+		if id == p.T.Root || r.cancelled() {
+			break // root is handled in finish; cancel abandons the DP
 		}
-		putScratch(sc)
+		r.processNode(id, sc)
 	}
-	return r.finish(workers)
+	return r.finish(sc)
 }
 
 // processNode computes one non-root node's accepted solution sets:
 // ComputeInitial (line b2) for leaves or JoinTree (line c2) for
-// internal nodes, followed by the wavefront expansion. par > 1 shards
-// the join across vertex ranges.
-func (r *Result) processNode(id NodeID, par int, sc *solverScratch) {
+// internal nodes, followed by the wavefront expansion.
+func (r *Result) processNode(id NodeID, sc *solverScratch) {
 	if r.cancelled() {
 		return
 	}
 	n := &r.p.T.Nodes[id]
-	switch {
-	case n.IsLeaf():
+	if n.IsLeaf() {
 		init := solution{sig: newLeafSig(r.p.Mode, n.Arr, n.Critical), kind: kindLeaf}
 		sc.items = append(sc.items[:0], queueItem{sol: init, vertex: n.Vertex})
-	case par > 1:
-		ns := &r.sols[id]
-		sc.items = r.joinParallel(id, &ns.joinPool, sc.items[:0], par)
-	default:
-		ns := &r.sols[id]
-		sc.items = r.joinSpan(id, 0, r.p.G.NumVertices(), nil, &ns.joinPool, sc.items[:0], sc)
+	} else {
+		sc.items = r.joinSpan(id, nil, sc.items[:0], sc)
 	}
 	r.runWavefront(id, sc)
-}
-
-// runLevels processes the tree bottom-up in dependency levels: a node
-// is ready once all its children are done, so the nodes of one level
-// are data-independent and run concurrently. Levels with a single node
-// instead parallelize the join fan-out across vertices.
-func (r *Result) runLevels(workers int) {
-	t := r.p.T
-	order := t.PostOrder()
-	depth := make([]int32, len(t.Nodes))
-	maxd := int32(0)
-	for _, id := range order {
-		d := int32(0)
-		for _, c := range t.Nodes[id].Children {
-			if depth[c]+1 > d {
-				d = depth[c] + 1
-			}
-		}
-		depth[id] = d
-		if id != t.Root && d > maxd {
-			maxd = d
-		}
-	}
-	levels := make([][]NodeID, maxd+1)
-	for _, id := range order {
-		if id == t.Root {
-			continue
-		}
-		levels[depth[id]] = append(levels[depth[id]], id)
-	}
-	sem := make(chan struct{}, workers)
-	for _, nodes := range levels {
-		if r.cancelled() {
-			return // later levels would only consume abandoned inputs
-		}
-		if len(nodes) == 1 {
-			sc := getScratch()
-			r.processNode(nodes[0], workers, sc)
-			putScratch(sc)
-			continue
-		}
-		var wg sync.WaitGroup
-		for _, id := range nodes {
-			wg.Add(1)
-			sem <- struct{}{}
-			//replint:ignore hotalloc -- one launch per tree node, amortized over that node's whole wavefront
-			go func(id NodeID) {
-				defer wg.Done()
-				sc := getScratch()
-				//replint:ignore shardwrite -- processNode writes only r.sols[id], this worker's own per-node slot
-				r.processNode(id, 1, sc)
-				putScratch(sc)
-				<-sem
-			}(id)
-		}
-		wg.Wait()
-	}
 }
 
 // finish joins at the root (A[t][root] = A^b[t][root] — the sink
 // consumes the signal; no onward propagation) and assembles the global
 // non-dominated frontier. A fixed root joins at its vertex only; a
 // free root joins everywhere and the frontier spans all vertices.
-func (r *Result) finish(workers int) (*Result, error) {
+func (r *Result) finish(sc *solverScratch) (*Result, error) {
 	if r.cancelled() {
 		return nil, r.ctx.Err()
 	}
 	p := r.p
 	rootNode := &p.T.Nodes[p.T.Root]
 	ns := &r.sols[p.T.Root]
-	sc := getScratch()
-	var seeds []queueItem
-	switch {
-	case rootNode.Vertex >= 0:
-		seeds = r.joinSpan(p.T.Root, 0, 0, []Vertex{rootNode.Vertex}, &ns.joinPool, sc.items[:0], sc)
-	case workers > 1:
-		seeds = r.joinParallel(p.T.Root, &ns.joinPool, sc.items[:0], workers)
-	default:
-		seeds = r.joinSpan(p.T.Root, 0, p.G.NumVertices(), nil, &ns.joinPool, sc.items[:0], sc)
+	var list []Vertex
+	if rootNode.Vertex >= 0 {
+		list = []Vertex{rootNode.Vertex}
 	}
+	seeds := r.joinSpan(p.T.Root, list, sc.items[:0], sc)
 	for _, it := range seeds {
 		ns.at[it.vertex] = append(ns.at[it.vertex], it.sol)
 	}
 	sc.items = seeds[:0]
-	putScratch(sc)
 	if r.cancelled() {
 		// The root join itself was cut short; its seed set may be
 		// partial, so the run fails rather than return a wrong curve.
@@ -361,14 +267,14 @@ func (r *Result) finish(workers int) (*Result, error) {
 }
 
 // joinSpan computes the branching solutions A^b[id][j] (JoinTree
-// line c2) for the vertices [lo, hi) — or the explicit list, when
-// non-nil — by folding the children's accepted sets pairwise, then
-// applying placement cost and gate delay. Seeds are appended with
-// joinRef relative to *pool, so shards can build private pools that a
-// deterministic merge rebases later.
-func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, seeds []queueItem, sc *solverScratch) []queueItem {
+// line c2) at every vertex — or at the explicit list, when non-nil —
+// by folding the children's accepted sets pairwise, then applying
+// placement cost and gate delay. The children's index tuples go into
+// the node's joinPool, referenced by each seed's joinRef.
+func (r *Result) joinSpan(id NodeID, list []Vertex, seeds []queueItem, sc *solverScratch) []queueItem {
 	p := r.p
 	n := &p.T.Nodes[id]
+	ns := &r.sols[id]
 	k := int32(len(n.Children))
 	join := func(v Vertex) {
 		if p.G.Blocked(v) {
@@ -397,13 +303,8 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 					continue // would overfill the slot (Section II-A)
 				}
 			}
-			ref := int32(len(*pool))
-			// Each caller passes a private pool/seed pair: join workers
-			// a stack-local shard, tree-node goroutines their own node's
-			// table. The context-insensitive summary conflates them.
-			//replint:ignore aliasrace -- pool is the caller's private shard (stack-local sp per join worker, per-node table per wavefront goroutine); shards merge after wg.Wait
-			*pool = append(*pool, arena[cb.off:cb.off+k]...)
-			//replint:ignore aliasrace -- seeds is the caller's private shard slice (nil per join worker); the rebasing merge after wg.Wait is the only cross-shard reader
+			ref := int32(len(ns.joinPool))
+			ns.joinPool = append(ns.joinPool, arena[cb.off:cb.off+k]...)
 			seeds = append(seeds, queueItem{
 				sol:    solution{sig: sig, kind: kindJoin, joinRef: ref},
 				vertex: v,
@@ -415,83 +316,11 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 			join(v)
 		}
 	} else {
-		for v := lo; v < hi; v++ {
-			if (v-lo)%ctxCheckStride == 0 && r.cancelled() {
+		for v := 0; v < p.G.NumVertices(); v++ {
+			if v%ctxCheckStride == 0 && r.cancelled() {
 				return seeds
 			}
 			join(Vertex(v))
-		}
-	}
-	return seeds
-}
-
-// joinParallel shards joinSpan over contiguous vertex ranges on a
-// worker pool, then merges the shard outputs back in vertex order, so
-// the seed list and joinPool layout are bit-identical to the serial
-// fold.
-func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, workers int) []queueItem {
-	nv := r.p.G.NumVertices()
-	chunk := (nv + workers*4 - 1) / (workers * 4)
-	if chunk < 16 {
-		chunk = 16
-	}
-	nchunks := (nv + chunk - 1) / chunk
-	if nchunks <= 1 || workers <= 1 {
-		sc := getScratch()
-		seeds = r.joinSpan(id, 0, nv, nil, pool, seeds, sc)
-		putScratch(sc)
-		return seeds
-	}
-	type shard struct {
-		seeds []queueItem
-		pool  []int32
-	}
-	outs := make([]shard, nchunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	nw := workers
-	if nw > nchunks {
-		nw = nchunks
-	}
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		//replint:ignore hotalloc -- one launch per join worker, amortized over the worker's chunk stream
-		go func() {
-			defer wg.Done()
-			sc := getScratch()
-			defer putScratch(sc)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > nv {
-					hi = nv
-				}
-				var sp []int32
-				// Chunk indices come from the atomic counter: each
-				// worker claims a distinct ci, so the outs entries
-				// written here are disjoint across workers.
-				//replint:ignore sharedwrite -- ci is claimed via next.Add; workers own disjoint outs entries
-				outs[ci].seeds = r.joinSpan(id, lo, hi, nil, &sp, nil, sc)
-				//replint:ignore sharedwrite -- ci is claimed via next.Add; workers own disjoint outs entries
-				outs[ci].pool = sp
-			}
-		}()
-	}
-	wg.Wait()
-	for ci := range outs {
-		base := int32(len(*pool))
-		// The merge runs after wg.Wait, and across the per-node
-		// wavefront goroutines each node folds into its own table
-		// (keyed by the goroutine's id parameter).
-		//replint:ignore aliasrace -- sequential merge post wg.Wait; per-node goroutines write only their own id's pool
-		*pool = append(*pool, outs[ci].pool...)
-		for _, it := range outs[ci].seeds {
-			it.sol.joinRef += base
-			seeds = append(seeds, it)
 		}
 	}
 	return seeds

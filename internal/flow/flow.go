@@ -8,6 +8,7 @@
 package flow
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -375,11 +376,8 @@ func RunAlgorithm(b *Baseline, algo Algorithm, cfg Config) (*Result, error) {
 		nl, pl = eng.Netlist, eng.Placement
 		res.EngineStats = st
 	}
-	if err := nl.Validate(); err != nil {
-		return nil, fmt.Errorf("flow: %s/%s produced invalid netlist: %w", b.Spec.Name, algo, err)
-	}
-	if !pl.Legal() {
-		return nil, fmt.Errorf("flow: %s/%s produced illegal placement", b.Spec.Name, algo)
+	if err := CheckDesign(nl, pl); err != nil {
+		return nil, fmt.Errorf("flow: %s/%s produced %w", b.Spec.Name, algo, err)
 	}
 	var err error
 	res.Metrics, err = measure(nl, pl, b.FPGA, cfg)
@@ -388,6 +386,20 @@ func RunAlgorithm(b *Baseline, algo Algorithm, cfg Config) (*Result, error) {
 	}
 	res.Norm = res.Metrics.Normalized(b.Metrics)
 	return res, nil
+}
+
+// CheckDesign verifies that an optimizer left a usable design: the
+// netlist passes Validate and the placement is legal. Every entry point
+// that runs an optimizer — RunAlgorithm here and the repld job runner —
+// calls it on the result before measuring it.
+func CheckDesign(nl *netlist.Netlist, pl *placement.Placement) error {
+	if err := nl.Validate(); err != nil {
+		return fmt.Errorf("invalid netlist: %w", err)
+	}
+	if !pl.Legal() {
+		return errors.New("illegal placement")
+	}
+	return nil
 }
 
 // Averages computes the all/small/large mean normalized metrics over a

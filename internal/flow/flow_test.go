@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/circuits"
+	"repro/internal/netlist"
+	"repro/internal/placement"
 )
 
 // quickCfg keeps flow tests fast: tiny circuits, light annealing.
@@ -17,6 +20,48 @@ func quickCfg() Config {
 	cfg.Engine.Patience = 8
 	cfg.LocalRepRuns = 2
 	return cfg
+}
+
+// TestCheckDesign pins the post-optimization check shared by
+// RunAlgorithm and the repld job runner: it accepts a valid, legally
+// placed design and rejects an invalid netlist and an over-capacity
+// placement.
+func TestCheckDesign(t *testing.T) {
+	build := func() (*netlist.Netlist, *placement.Placement) {
+		nl := netlist.New("chk")
+		a := nl.AddCell("a", netlist.IPad, 0)
+		l := nl.AddCell("l", netlist.LUT, 1)
+		nl.ConnectByName(l.ID, 0, "a")
+		m := nl.AddCell("m", netlist.LUT, 1)
+		nl.ConnectByName(m.ID, 0, "l")
+		o := nl.AddCell("o", netlist.OPad, 1)
+		nl.ConnectByName(o.ID, 0, "m")
+		pl := placement.New(arch.New(4), nl)
+		pl.Place(a.ID, arch.Loc{X: 0, Y: 1})
+		pl.Place(l.ID, arch.Loc{X: 1, Y: 1})
+		pl.Place(m.ID, arch.Loc{X: 2, Y: 1})
+		pl.Place(o.ID, arch.Loc{X: 5, Y: 1})
+		return nl, pl
+	}
+	nl, pl := build()
+	if err := CheckDesign(nl, pl); err != nil {
+		t.Fatalf("valid design rejected: %v", err)
+	}
+
+	nl, pl = build()
+	m, _ := nl.CellByName("m")
+	pl.Remove(m)
+	pl.Place(m, arch.Loc{X: 1, Y: 1}) // on top of l in a one-LUT slot
+	if err := CheckDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "illegal placement") {
+		t.Fatalf("over-capacity placement: got %v, want an illegal-placement error", err)
+	}
+
+	nl, pl = build()
+	l, _ := nl.CellByName("l")
+	nl.Cell(l).Out = netlist.None // a LUT that drives nothing
+	if err := CheckDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "invalid netlist") {
+		t.Fatalf("corrupted netlist: got %v, want an invalid-netlist error", err)
+	}
 }
 
 func TestRunBaseline(t *testing.T) {

@@ -18,7 +18,8 @@ import (
 // The differential / metamorphic harness: randomized circuits driven
 // through the full place → replicate pipeline, checked four ways —
 //
-//   - serial and parallel engine runs must be bit-identical;
+//   - two engine runs on fresh clones of the same placed design, with
+//     the same config, must be bit-identical;
 //   - the optimized design must compute the original's function
 //     (Equivalent) and satisfy every structural invariant
 //     (CheckPlaced, CheckNoRegression);
@@ -38,26 +39,22 @@ type EngineCheckOptions struct {
 	Config    core.Config
 	Delay     arch.DelayModel
 	Equiv     EquivOptions
-	// ParallelWorkers is the worker count of the parallel run compared
-	// against the serial baseline (default 4).
-	ParallelWorkers int
 }
 
 // EngineReport summarizes one passing differential engine run.
 type EngineReport struct {
 	Baseline float64 // placed period before optimization
-	Final    float64 // optimized period (serial == parallel, bitwise)
+	Final    float64 // optimized period (identical across repeated runs, bitwise)
 	Stats    *core.Stats
 	Snapshot string // canonical optimized design
 }
 
 // CheckEngine generates the spec's circuit, places it, optimizes it
-// twice (serial and parallel), and verifies bit-identity, structural
-// invariants, timing monotonicity, and functional equivalence.
+// twice on fresh clones with the same config, and verifies
+// bit-identity, structural invariants, timing monotonicity, and
+// functional equivalence. The repeated run catches any dependence of
+// the engine on map order, pooled scratch, or other hidden state.
 func CheckEngine(opt EngineCheckOptions) (*EngineReport, error) {
-	if opt.ParallelWorkers <= 0 {
-		opt.ParallelWorkers = 4
-	}
 	nl, err := circuits.Generate(opt.Spec)
 	if err != nil {
 		return nil, err
@@ -76,37 +73,32 @@ func CheckEngine(opt EngineCheckOptions) (*EngineReport, error) {
 	}
 	baseline := a.Period
 
-	serial, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, opt.Config, 1)
+	first, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, opt.Config)
 	if err != nil {
-		return nil, fmt.Errorf("serial run %s: %w", opt.Spec.Name, err)
+		return nil, fmt.Errorf("first run %s: %w", opt.Spec.Name, err)
 	}
-	par, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, opt.Config, opt.ParallelWorkers)
+	again, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, opt.Config)
 	if err != nil {
-		return nil, fmt.Errorf("parallel run %s: %w", opt.Spec.Name, err)
+		return nil, fmt.Errorf("repeat run %s: %w", opt.Spec.Name, err)
 	}
-	if math.Float64bits(serial.period) != math.Float64bits(par.period) {
-		return nil, fmt.Errorf("%s: serial period %v != parallel(%d) period %v",
-			opt.Spec.Name, serial.period, opt.ParallelWorkers, par.period)
-	}
-	if serial.snap != par.snap {
-		return nil, fmt.Errorf("%s: parallel(%d) design diverges from serial:\n--- serial\n%s--- parallel\n%s",
-			opt.Spec.Name, opt.ParallelWorkers, serial.snap, par.snap)
+	if err := compareRuns(opt.Spec.Name, "first", "repeat", first, again); err != nil {
+		return nil, err
 	}
 
-	if err := CheckPlaced(serial.nl, serial.pl); err != nil {
+	if err := CheckPlaced(first.nl, first.pl); err != nil {
 		return nil, fmt.Errorf("optimized %s: %w", opt.Spec.Name, err)
 	}
-	if err := CheckNoRegression(serial.nl, serial.pl, opt.Delay, baseline); err != nil {
+	if err := CheckNoRegression(first.nl, first.pl, opt.Delay, baseline); err != nil {
 		return nil, fmt.Errorf("optimized %s: %w", opt.Spec.Name, err)
 	}
-	if err := Equivalent(orig, serial.nl, opt.Equiv); err != nil {
+	if err := Equivalent(orig, first.nl, opt.Equiv); err != nil {
 		return nil, fmt.Errorf("optimized %s not equivalent: %w", opt.Spec.Name, err)
 	}
 	return &EngineReport{
 		Baseline: baseline,
-		Final:    serial.period,
-		Stats:    serial.stats,
-		Snapshot: serial.snap,
+		Final:    first.period,
+		Stats:    first.stats,
+		Snapshot: first.snap,
 	}, nil
 }
 
@@ -127,13 +119,9 @@ func CheckIncremental(opt EngineCheckOptions) (*core.Stats, error) {
 		return nil, err
 	}
 
-	workers := opt.ParallelWorkers
-	if workers <= 0 {
-		workers = 1
-	}
 	full := opt.Config
 	full.Incremental = false
-	fres, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, full, workers)
+	fres, err := runOnce(nl.Clone(), pl.Clone(), opt.Delay, full)
 	if err != nil {
 		return nil, fmt.Errorf("full run %s: %w", opt.Spec.Name, err)
 	}
@@ -141,18 +129,13 @@ func CheckIncremental(opt EngineCheckOptions) (*core.Stats, error) {
 	inc := opt.Config
 	inc.Incremental = true
 	inc.VerifyIncremental = true
-	ires, err := runOnce(nl, pl, opt.Delay, inc, workers)
+	ires, err := runOnce(nl, pl, opt.Delay, inc)
 	if err != nil {
 		return nil, fmt.Errorf("incremental run %s: %w", opt.Spec.Name, err)
 	}
 
-	if math.Float64bits(fres.period) != math.Float64bits(ires.period) {
-		return nil, fmt.Errorf("%s: incremental period %v != full period %v",
-			opt.Spec.Name, ires.period, fres.period)
-	}
-	if fres.snap != ires.snap {
-		return nil, fmt.Errorf("%s: incremental design diverges from full:\n--- full\n%s--- incremental\n%s",
-			opt.Spec.Name, fres.snap, ires.snap)
+	if err := compareRuns(opt.Spec.Name, "full", "incremental", fres, ires); err != nil {
+		return nil, err
 	}
 	return ires.stats, nil
 }
@@ -165,8 +148,7 @@ type runResult struct {
 	snap   string
 }
 
-func runOnce(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, cfg core.Config, workers int) (*runResult, error) {
-	cfg.Parallelism = workers
+func runOnce(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, cfg core.Config) (*runResult, error) {
 	e := core.New(nl, pl, dm, cfg)
 	st, err := e.Run()
 	if err != nil {
@@ -179,6 +161,21 @@ func runOnce(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, c
 		period: st.FinalPeriod,
 		snap:   Snapshot(e.Netlist, e.Placement),
 	}, nil
+}
+
+// compareRuns checks that run b reproduces run a bit for bit: the same
+// period bits and the same design snapshot. The labels name the two
+// runs in the error.
+func compareRuns(name, aLabel, bLabel string, a, b *runResult) error {
+	if math.Float64bits(a.period) != math.Float64bits(b.period) {
+		return fmt.Errorf("%s: %s period %v != %s period %v",
+			name, bLabel, b.period, aLabel, a.period)
+	}
+	if a.snap != b.snap {
+		return fmt.Errorf("%s: %s design diverges from %s:\n--- %s\n%s--- %s\n%s",
+			name, bLabel, aLabel, aLabel, a.snap, bLabel, b.snap)
+	}
+	return nil
 }
 
 // Snapshot renders a placed design canonically: cells in ID order with
@@ -228,11 +225,11 @@ func CheckRenameInvariance(opt EngineCheckOptions, prefix string) error {
 	rnl := renamePrefix(nl, prefix)
 	rpl := pl.Clone() // cell IDs are preserved, so the placement carries over
 
-	base, err := runOnce(nl, pl, opt.Delay, opt.Config, 1)
+	base, err := runOnce(nl, pl, opt.Delay, opt.Config)
 	if err != nil {
 		return fmt.Errorf("base run %s: %w", opt.Spec.Name, err)
 	}
-	ren, err := runOnce(rnl, rpl, opt.Delay, opt.Config, 1)
+	ren, err := runOnce(rnl, rpl, opt.Delay, opt.Config)
 	if err != nil {
 		return fmt.Errorf("renamed run %s: %w", opt.Spec.Name, err)
 	}
@@ -291,11 +288,11 @@ func CheckTranslationInvariance(seed int64, gridN int, cfg core.Config, dm arch.
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
 
-	base, err := runOnce(nl, pl, dm, cfg, 1)
+	base, err := runOnce(nl, pl, dm, cfg)
 	if err != nil {
 		return fmt.Errorf("base run seed %d: %w", seed, err)
 	}
-	moved, err := runOnce(rnl, tpl, dm, cfg, 1)
+	moved, err := runOnce(rnl, tpl, dm, cfg)
 	if err != nil {
 		return fmt.Errorf("translated run seed %d: %w", seed, err)
 	}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -37,7 +38,7 @@ func harnessOptions(spec circuits.Spec) EngineCheckOptions {
 }
 
 // TestEngineDifferential drives randomized circuits through the full
-// pipeline, checking serial/parallel bit-identity, structural
+// pipeline, checking repeated-run bit-identity, structural
 // invariants, timing monotonicity, and functional equivalence.
 func TestEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -66,6 +67,25 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
+// TestCompareRunsDetectsDivergence checks that the repeated-run
+// comparison behind CheckEngine can fail: a differing snapshot or
+// differing period bits (even between 0 and -0) must be reported.
+func TestCompareRunsDetectsDivergence(t *testing.T) {
+	base := &runResult{period: 3.5, snap: "a/LUT@1,1: i\n"}
+	if err := compareRuns("same", "first", "repeat", base, &runResult{period: 3.5, snap: base.snap}); err != nil {
+		t.Fatalf("identical runs reported as diverging: %v", err)
+	}
+	moved := &runResult{period: 3.5, snap: "a/LUT@1,2: i\n"}
+	if err := compareRuns("moved", "first", "repeat", base, moved); err == nil {
+		t.Fatal("differing snapshots not reported")
+	}
+	zero := &runResult{period: 0, snap: base.snap}
+	negZero := &runResult{period: math.Copysign(0, -1), snap: base.snap}
+	if err := compareRuns("zero", "first", "repeat", zero, negZero); err == nil {
+		t.Fatal("differing period bits not reported")
+	}
+}
+
 // TestIncrementalDifferential pins the incremental engine's exactness
 // claim end to end: dirty-region STA, patched critical-path trees, and
 // memoized frontiers must reproduce the full engine's optimized design
@@ -88,9 +108,7 @@ func TestIncrementalDifferential(t *testing.T) {
 		if i%2 == 1 {
 			spec.RegisteredFrac = 0.3
 		}
-		opt := harnessOptions(spec)
-		opt.ParallelWorkers = 1 + i%2*3
-		st, err := CheckIncremental(opt)
+		st, err := CheckIncremental(harnessOptions(spec))
 		if err != nil {
 			t.Fatalf("run %d (seed %d): %v", i, spec.Seed, err)
 		}

@@ -29,9 +29,6 @@ func testAgreement(t *testing.T, mode embed.Mode, n int, seed int64) {
 	feasible := 0
 	for i := 0; i < n; i++ {
 		p := GenProblem(rng, mode)
-		if i%3 == 2 {
-			p.Parallelism = 2 // parallel joins must agree bitwise too
-		}
 		want, oerr := Frontier(p)
 		if oerr != nil {
 			t.Fatalf("instance %d: oracle refused: %v", i, oerr)

@@ -42,8 +42,6 @@ type JobSpec struct {
 	Effort float64 `json:"effort,omitempty"`
 	// MaxIters caps engine iterations (default: engine default).
 	MaxIters int `json:"max_iters,omitempty"`
-	// Parallelism bounds engine/STA workers (default: all CPUs).
-	Parallelism int `json:"parallelism,omitempty"`
 	// Route runs the low-stress router after optimization.
 	Route bool `json:"route,omitempty"`
 	// TimeoutMS caps the job's run time; 0 uses the manager default.
@@ -98,9 +96,8 @@ const maxInlineNetlist = 16 << 20
 // fields cleared (they are ignored on that path). Two valid specs that
 // normalize equal produce bit-identical results, which is what the
 // cluster layer's content hash keys on; ExecuteJob resolves its
-// defaults through here so the two can never drift. Parallelism and
-// TimeoutMS are left untouched: they change how fast a job runs, not
-// what it computes.
+// defaults through here so the two can never drift. TimeoutMS is left
+// untouched: it bounds how long a job may run, not what it computes.
 func (s JobSpec) Normalized() JobSpec {
 	n := s
 	if n.IsRace() {
@@ -214,7 +211,7 @@ func (s *JobSpec) Validate() error {
 	if s.Scale < 0 || s.Scale > 1 {
 		return fmt.Errorf("scale %v out of range (0, 1]", s.Scale)
 	}
-	if s.TimeoutMS < 0 || s.MaxIters < 0 || s.Parallelism < 0 || s.Effort < 0 {
+	if s.TimeoutMS < 0 || s.MaxIters < 0 || s.Effort < 0 {
 		return fmt.Errorf("negative tuning field")
 	}
 	if s.Netlist != "" {

@@ -318,7 +318,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: "ex5p", TimeoutMS: -1},    // negative tuning
 		{Netlist: "input a\ninput a\n"},     // duplicate cell
 		{Netlist: "widget frob\n"},          // unknown directive
-		{Circuit: "ex5p", Parallelism: -2},  // negative tuning
+		{Circuit: "ex5p", MaxIters: -2},     // negative tuning
 	}
 	for _, spec := range cases {
 		if _, err := m.Submit(spec); err == nil {

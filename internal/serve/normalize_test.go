@@ -27,8 +27,8 @@ func TestSpecNormalized(t *testing.T) {
 			JobSpec{Netlist: "circuit t\ninput a\noutput o a\n", Circuit: "ignored", Scale: 0.9},
 			JobSpec{Netlist: "circuit t\ninput a\noutput o a\n", Algo: "rt", Seed: 1, Effort: 2}},
 		{"non-semantic knobs untouched",
-			JobSpec{Circuit: "ex5p", Parallelism: 7, TimeoutMS: 1234},
-			JobSpec{Circuit: "ex5p", Scale: 0.2, Algo: "rt", Seed: 1, Effort: 2, Parallelism: 7, TimeoutMS: 1234}},
+			JobSpec{Circuit: "ex5p", TimeoutMS: 1234},
+			JobSpec{Circuit: "ex5p", Scale: 0.2, Algo: "rt", Seed: 1, Effort: 2, TimeoutMS: 1234}},
 		{"unknown algo passes through for Validate to reject",
 			JobSpec{Circuit: "ex5p", Algo: "fastest"},
 			JobSpec{Circuit: "ex5p", Scale: 0.2, Algo: "fastest", Seed: 1, Effort: 2}},

@@ -63,6 +63,7 @@ func raceRun(ctx context.Context, spec JobSpec, run Runner, c *counters) (*Resul
 	rctx, rcancel := context.WithCancel(ctx)
 	cancels := make([]context.CancelFunc, n)
 	outs := make([]*raceOutcome, n) // nil until that variant finishes
+	cut := make([]bool, n)          // cancelled before the decision
 	type completion struct {
 		i   int
 		out raceOutcome
@@ -128,8 +129,8 @@ func raceRun(ctx context.Context, spec JobSpec, run Runner, c *counters) (*Resul
 
 	finalize := func(w int) (*Result, error) {
 		if c != nil {
-			for _, o := range outs {
-				if o == nil {
+			for i, o := range outs {
+				if o == nil || cut[i] {
 					c.raceCancelled.Add(1)
 				}
 			}
@@ -163,8 +164,9 @@ func raceRun(ctx context.Context, spec JobSpec, run Runner, c *counters) (*Resul
 				// those variants are provably unable to win, and
 				// cutting them early is the whole point of racing.
 				for k := cm.i + 1; k < n; k++ {
-					if outs[k] == nil {
+					if outs[k] == nil && !cut[k] {
 						cancels[k]()
+						cut[k] = true
 					}
 				}
 			}

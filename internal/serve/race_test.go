@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flow"
 )
 
@@ -162,49 +163,59 @@ func TestRaceMetamorphic(t *testing.T) {
 }
 
 // TestRaceRealEngine races the actual engine on a small seeded
-// instance at several Parallelism settings: the raced Result must be
+// instance twice with the same spec: each raced Result must be
 // byte-identical (modulo race decoration and wall-clock telemetry) to
-// executing the winning variant alone.
+// executing the winning variant alone, and the two races must agree
+// with each other bit for bit.
 func TestRaceRealEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-engine race in -short mode")
 	}
+	// semantic drops what may legitimately differ between runs: the
+	// race decoration and wall-clock telemetry.
+	semantic := func(r Result) Result {
+		r.RaceWinner, r.RaceMetBound = "", false
+		r.Phases = core.PhaseTimes{}
+		r.PlaceSeconds, r.EngineSeconds, r.RouteSeconds = 0, 0, 0
+		return r
+	}
 	base := JobSpec{Circuit: "ex5p", Scale: 0.05, Seed: 1, Effort: 0.5, MaxIters: 2}
-	for _, par := range []int{1, 2, 4} {
+	var first *Result
+	for run := 1; run <= 2; run++ {
 		spec := base
 		spec.Algo = AlgoRace
 		spec.RaceVariants = []string{"rt", "lex3"}
-		spec.Parallelism = par
 		raced, err := RunRace(context.Background(), spec, ExecuteJob)
 		if err != nil {
-			t.Fatalf("par=%d: RunRace: %v", par, err)
+			t.Fatalf("run %d: RunRace: %v", run, err)
 		}
 		if raced.RaceWinner == "" {
-			t.Fatalf("par=%d: no winner recorded", par)
+			t.Fatalf("run %d: no winner recorded", run)
 		}
 		solo := base
 		solo.Algo = raced.RaceWinner
-		solo.Parallelism = par
 		ref, err := ExecuteJob(context.Background(), solo)
 		if err != nil {
-			t.Fatalf("par=%d: solo %s: %v", par, raced.RaceWinner, err)
+			t.Fatalf("run %d: solo %s: %v", run, raced.RaceWinner, err)
 		}
 		if math.Float64bits(raced.OptimizedPeriod) != math.Float64bits(ref.OptimizedPeriod) ||
 			math.Float64bits(raced.PlacedPeriod) != math.Float64bits(ref.PlacedPeriod) {
-			t.Fatalf("par=%d: raced periods (%x, %x) != solo (%x, %x)", par,
+			t.Fatalf("run %d: raced periods (%x, %x) != solo (%x, %x)", run,
 				math.Float64bits(raced.PlacedPeriod), math.Float64bits(raced.OptimizedPeriod),
 				math.Float64bits(ref.PlacedPeriod), math.Float64bits(ref.OptimizedPeriod))
 		}
-		// Full structural identity, ignoring wall-clock telemetry and
-		// the race decoration.
-		a, b := *raced, *ref
-		a.RaceWinner, a.RaceMetBound = "", false
-		a.Phases, b.Phases = ref.Phases, ref.Phases
-		a.PlaceSeconds, b.PlaceSeconds = 0, 0
-		a.EngineSeconds, b.EngineSeconds = 0, 0
-		a.RouteSeconds, b.RouteSeconds = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("par=%d: raced result drifted from solo run:\n  raced %+v\n  solo  %+v", par, a, b)
+		if a, b := semantic(*raced), semantic(*ref); !reflect.DeepEqual(a, b) {
+			t.Fatalf("run %d: raced result drifted from solo run:\n  raced %+v\n  solo  %+v", run, a, b)
+		}
+		if first == nil {
+			first = raced
+			continue
+		}
+		if raced.RaceWinner != first.RaceWinner {
+			t.Fatalf("repeat race won by %s, first race by %s", raced.RaceWinner, first.RaceWinner)
+		}
+		if a, b := semantic(*first), semantic(*raced); !reflect.DeepEqual(a, b) {
+			t.Fatalf("repeat race drifted from the first:\n  first  %+v\n  repeat %+v", a, b)
 		}
 	}
 }
@@ -323,6 +334,31 @@ func TestRaceParentCancel(t *testing.T) {
 	_, err := RunRace(ctx, spec, sleepRunner(30*time.Second))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
+	}
+}
+
+// TestRaceCountsEarlyCutLosers: a variant cancelled because an
+// earlier-ranked variant already met the bound counts as a cancelled
+// loser even when it unwinds before the race is decided.
+func TestRaceCountsEarlyCutLosers(t *testing.T) {
+	tab := &raceTable{
+		period: map[string]float64{"rt": 9, "lexmc": 8, "lex3": 6},
+		fail:   map[string]bool{},
+		// lexmc meets the bound at once and cuts lex3, which returns
+		// on cancellation; rt, ranked first, decides the race later.
+		delay: map[string]time.Duration{"rt": 20 * time.Millisecond, "lex3": time.Minute},
+	}
+	var c counters
+	spec := JobSpec{Circuit: "ex5p", Algo: AlgoRace, RaceVariants: []string{"rt", "lexmc", "lex3"}, PeriodBound: 8.5}
+	res, err := raceRun(context.Background(), spec, tab.runner(), &c)
+	if err != nil {
+		t.Fatalf("raceRun: %v", err)
+	}
+	if res.RaceWinner != "lexmc" {
+		t.Fatalf("winner %q, want lexmc", res.RaceWinner)
+	}
+	if got := c.raceCancelled.Load(); got != 1 {
+		t.Fatalf("cancelled losers %d, want 1 (lex3)", got)
 	}
 }
 

@@ -28,9 +28,10 @@ const defaultEffort = 2.0
 // ExecuteJob runs one replication job start to finish: resolve the
 // design, place it, optimize it with the selected algorithm under ctx,
 // and optionally route. It is the Manager's default Runner. The result
-// is deterministic for identical specs at any Parallelism, because the
-// placer is seed-driven and the engine's parallel paths are
-// bit-identical to serial.
+// is deterministic for identical specs, because the placer is
+// seed-driven and the engine is serial and deterministic. Like
+// flow.RunAlgorithm, it rejects an optimized design that fails
+// flow.CheckDesign.
 func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	// Normalized() applies every semantic default exactly once; the
 	// cluster layer hashes the same normal form, so two specs with
@@ -71,8 +72,7 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 
-	workers := spec.Parallelism
-	a, err := timing.AnalyzeWorkersCtx(ctx, nl, pl, dm, staWorkers(workers))
+	a, err := timing.AnalyzeContext(ctx, nl, pl, dm)
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +95,6 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	default:
 		ecfg := core.Default()
 		ecfg.Mode = algo.Mode()
-		if workers > 0 {
-			ecfg.Parallelism = workers
-		}
 		if spec.MaxIters > 0 {
 			ecfg.MaxIters = spec.MaxIters
 		}
@@ -116,8 +113,11 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		res.Incremental = st.Incremental
 	}
 	res.EngineSeconds = time.Since(t0).Seconds()
+	if err := flow.CheckDesign(nl, pl); err != nil {
+		return nil, fmt.Errorf("%s produced %w", algo, err)
+	}
 
-	a, err = timing.AnalyzeWorkersCtx(ctx, nl, pl, dm, staWorkers(workers))
+	a, err = timing.AnalyzeContext(ctx, nl, pl, dm)
 	if err != nil {
 		return nil, err
 	}
@@ -138,15 +138,6 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		res.WireLength = ls.WireLength
 	}
 	return res, nil
-}
-
-// staWorkers maps a spec's Parallelism (0 = default) to the STA worker
-// count.
-func staWorkers(p int) int {
-	if p > 0 {
-		return p
-	}
-	return core.Default().Parallelism
 }
 
 // resolveNetlist materializes the job's design: parse the inline text

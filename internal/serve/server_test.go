@@ -182,6 +182,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown circuit", `{"circuit":"nonesuch"}`},
 		{"unknown algo", `{"circuit":"ex5p","algo":"magic"}`},
 		{"unknown field", `{"circuit":"ex5p","frobnicate":true}`},
+		{"retired parallelism field", `{"circuit":"ex5p","parallelism":4}`},
 		{"syntax", `{"circuit":`},
 		{"bad netlist", `{"netlist":"widget frob\n"}`},
 	}

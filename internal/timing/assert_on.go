@@ -22,7 +22,7 @@ const assertEnabled = true
 // monotonicity invariant: under a nonnegative delay model the
 // recurrence makes Arr non-decreasing along every combinational path,
 // and bitwise agreement with a serial re-derivation is exactly the
-// determinism contract the levelized parallel passes promise.
+// determinism contract of the full and incremental passes.
 func assertArrivalMonotone(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, a *Analysis) {
 	worst := func(id netlist.CellID) (float64, bool) {
 		c := nl.Cell(id)

@@ -41,12 +41,12 @@ type IncrementalStats struct {
 
 // defaultMaxDirtyFrac bounds the dirty frontier at a quarter of the
 // live cells before an update falls back to the full analyzer: past
-// that point the worklist bookkeeping costs more than the levelized
-// full pass it avoids.
+// that point the worklist bookkeeping costs more than the full pass it
+// avoids.
 const defaultMaxDirtyFrac = 0.25
 
 // Incremental is a dirty-region STA engine. Analyze behaves exactly
-// like AnalyzeWorkersCtx — the returned Analysis is Float64bits-
+// like AnalyzeContext — the returned Analysis is Float64bits-
 // identical to a from-scratch pass over the same netlist and placement
 // — but after the first call it re-propagates arrivals and downstream
 // delays only through the cones affected by cells that moved, were
@@ -65,8 +65,7 @@ const defaultMaxDirtyFrac = 0.25
 //
 // Incremental is not safe for concurrent use; the engine owns one.
 type Incremental struct {
-	dm      arch.DelayModel
-	workers int
+	dm arch.DelayModel
 	// MaxDirtyFrac is the dirty-frontier fallback threshold as a
 	// fraction of live cells; 0 selects defaultMaxDirtyFrac.
 	MaxDirtyFrac float64
@@ -78,10 +77,10 @@ type Incremental struct {
 	// them only while structGen is current, so every mutation must be
 	// followed by a structGen advance before returning (replint's
 	// stalegen rule enforces this).
-	lvl    []int32 //replint:guarded gen=structGen
+	lvl    []int32            //replint:guarded gen=structGen
 	levels [][]netlist.CellID //replint:guarded gen=structGen
-	sinks  []netlist.CellID //replint:guarded gen=structGen
-	live   int //replint:guarded gen=structGen
+	sinks  []netlist.CellID   //replint:guarded gen=structGen
+	live   int                //replint:guarded gen=structGen
 
 	// Snapshots of the last analyzed state, diffed on each call.
 	alive     []bool
@@ -112,10 +111,9 @@ type Incremental struct {
 }
 
 // NewIncremental returns an incremental analyzer for the given delay
-// model; workers bounds the levelized fan-out of full (fallback)
-// passes, exactly as in AnalyzeWorkers.
-func NewIncremental(dm arch.DelayModel, workers int) *Incremental {
-	return &Incremental{dm: dm, workers: workers}
+// model.
+func NewIncremental(dm arch.DelayModel) *Incremental {
+	return &Incremental{dm: dm}
 }
 
 // Gen returns the current analysis generation; it advances on every
@@ -205,7 +203,7 @@ func (inc *Incremental) Analyze(ctx context.Context, nl *netlist.Netlist, pl Pla
 // full runs the from-scratch analyzer and rebuilds every cache and
 // snapshot from its result.
 func (inc *Incremental) full(ctx context.Context, nl *netlist.Netlist, pl PlacedLocator) (*Analysis, error) {
-	a, err := AnalyzeWorkersCtx(ctx, nl, pl, inc.dm, inc.workers)
+	a, err := AnalyzeContext(ctx, nl, pl, inc.dm)
 	if err != nil {
 		inc.Invalidate()
 		return nil, err
@@ -384,7 +382,7 @@ func (inc *Incremental) diff(nl *netlist.Netlist, pl PlacedLocator) (*delta, err
 			structChanged = true
 			seedRegOrF(id)
 			seedB(id)
-			seedOldDrivers(i)   // lost a sink: their Down shrinks
+			seedOldDrivers(i)    // lost a sink: their Down shrinks
 			seedFaninDrivers(id) // gained a sink: their Down grows
 		}
 		moved := inc.placed[i] != pl.Placed(id) ||

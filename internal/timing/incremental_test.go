@@ -7,9 +7,58 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuits"
 	"repro/internal/netlist"
 	"repro/internal/timing"
 )
+
+type gridLoc struct {
+	locs []arch.Loc
+}
+
+func (g *gridLoc) Loc(id netlist.CellID) arch.Loc { return g.locs[id] }
+
+// randomPlaced builds a seeded synthetic circuit with registered LUTs
+// and a random (not necessarily legal — STA does not care) placement.
+func randomPlaced(t *testing.T, seed int64, luts int) (*netlist.Netlist, *gridLoc) {
+	t.Helper()
+	spec := circuits.Spec{
+		Name: "par", LUTs: luts, Inputs: 12, Outputs: 12,
+		Depth: 6, RegisteredFrac: 0.25, Seed: seed,
+	}
+	nl, err := circuits.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g := &gridLoc{locs: make([]arch.Loc, nl.Cap())}
+	for i := range g.locs {
+		g.locs[i] = arch.Loc{X: int16(rng.Intn(40)), Y: int16(rng.Intn(40))}
+	}
+	return nl, g
+}
+
+func analysesEqual(t *testing.T, name string, a, b *timing.Analysis) {
+	t.Helper()
+	if a.Period != b.Period || a.CritSink != b.CritSink {
+		t.Fatalf("%s: period/critsink differ: (%v, %v) vs (%v, %v)",
+			name, a.Period, a.CritSink, b.Period, b.CritSink)
+	}
+	cmp := func(field string, x, y []float64) {
+		if len(x) != len(y) {
+			t.Fatalf("%s: %s length %d vs %d", name, field, len(x), len(y))
+		}
+		for i := range x {
+			if x[i] != y[i] && !(math.IsInf(x[i], -1) && math.IsInf(y[i], -1)) {
+				t.Fatalf("%s: %s[%d] = %v vs %v", name, field, i, x[i], y[i])
+			}
+		}
+	}
+	cmp("Arr", a.Arr, b.Arr)
+	cmp("SinkArr", a.SinkArr, b.SinkArr)
+	cmp("Through", a.Through, b.Through)
+	cmp("Down", a.Down, b.Down)
+}
 
 // placedGrid is a mutable PlacedLocator for driving the incremental
 // analyzer directly, without a full placement.
@@ -153,7 +202,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		pl.grow(nl.Cap())
 		nl.Cells(func(c *netlist.Cell) { pl.place(c.ID, gl.locs[c.ID]) })
 
-		inc := timing.NewIncremental(dm, 4)
+		inc := timing.NewIncremental(dm)
 		ctx := context.Background()
 		var replicas []netlist.CellID
 		for round := 0; round < rounds; round++ {
@@ -164,7 +213,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
-			full, err := timing.AnalyzeWorkers(nl, pl, dm, 1)
+			full, err := timing.Analyze(nl, pl, dm)
 			if err != nil {
 				t.Fatalf("seed %d round %d (full): %v", seed, round, err)
 			}
@@ -185,7 +234,7 @@ func TestIncrementalNoChangeIsHit(t *testing.T) {
 	pl := &placedGrid{}
 	pl.grow(nl.Cap())
 	nl.Cells(func(c *netlist.Cell) { pl.place(c.ID, gl.locs[c.ID]) })
-	inc := timing.NewIncremental(arch.DefaultDelayModel(), 2)
+	inc := timing.NewIncremental(arch.DefaultDelayModel())
 	ctx := context.Background()
 	if _, err := inc.Analyze(ctx, nl, pl); err != nil {
 		t.Fatal(err)
@@ -211,7 +260,7 @@ func TestIncrementalOverflowFallsBack(t *testing.T) {
 	pl.grow(nl.Cap())
 	nl.Cells(func(c *netlist.Cell) { pl.place(c.ID, gl.locs[c.ID]) })
 	dm := arch.DefaultDelayModel()
-	inc := timing.NewIncremental(dm, 4)
+	inc := timing.NewIncremental(dm)
 	inc.MaxDirtyFrac = 1e-12 // budget rounds to zero cells
 	ctx := context.Background()
 	if _, err := inc.Analyze(ctx, nl, pl); err != nil {
@@ -228,7 +277,7 @@ func TestIncrementalOverflowFallsBack(t *testing.T) {
 		if !inc.LastFull() {
 			t.Fatalf("round %d: zero budget did not fall back to the full pass", round)
 		}
-		full, err := timing.AnalyzeWorkers(nl, pl, dm, 1)
+		full, err := timing.Analyze(nl, pl, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +303,7 @@ func TestSPTCacheMatchesBuild(t *testing.T) {
 	pl.grow(nl.Cap())
 	nl.Cells(func(c *netlist.Cell) { pl.place(c.ID, gl.locs[c.ID]) })
 
-	inc := timing.NewIncremental(dm, 4)
+	inc := timing.NewIncremental(dm)
 	cache := timing.NewSPTCache(inc, 0)
 	ctx := context.Background()
 	var replicas []netlist.CellID

@@ -18,9 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
@@ -89,63 +87,34 @@ func ManhattanWire(pl Locator, dm arch.DelayModel) WireDelayFunc {
 	}
 }
 
-// Analyze runs a full STA pass using Manhattan wire delays, with the
-// default worker count (GOMAXPROCS). Results are independent of the
-// worker count.
+// Analyze runs a full STA pass using Manhattan wire delays.
 func Analyze(nl *netlist.Netlist, pl Locator, dm arch.DelayModel) (*Analysis, error) {
-	return AnalyzeWorkers(nl, pl, dm, runtime.GOMAXPROCS(0))
+	return AnalyzeCustom(nl, ManhattanWire(pl, dm), dm)
 }
 
-// AnalyzeWorkers runs a full STA pass using Manhattan wire delays on
-// the given number of workers; 1 selects the exact serial path. The
-// parallel path levelizes the netlist and fans each level's arrival
-// (and, backward, required-time) computations out across goroutines;
-// it produces bit-identical results to the serial path because each
-// cell's values depend only on earlier (respectively later) levels.
-func AnalyzeWorkers(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkers(nl, ManhattanWire(pl, dm), dm, workers)
-}
-
-// AnalyzeWorkersCtx is AnalyzeWorkers with cooperative cancellation:
-// the pass checks ctx between levels (and periodically on the serial
-// path) and returns ctx.Err() once the context is done, so a cancelled
-// job stops paying for STA over a large netlist.
-func AnalyzeWorkersCtx(ctx context.Context, nl *netlist.Netlist, pl Locator, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkersCtx(ctx, nl, ManhattanWire(pl, dm), dm, workers)
+// AnalyzeContext is Analyze with cooperative cancellation: the pass
+// checks ctx periodically and returns ctx.Err() once the context is
+// done, so a cancelled job stops paying for STA over a large netlist.
+func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, pl Locator, dm arch.DelayModel) (*Analysis, error) {
+	return AnalyzeCustomContext(ctx, nl, ManhattanWire(pl, dm), dm)
 }
 
 // AnalyzeCustom runs a full STA pass with an arbitrary per-connection
-// wire delay function, serially.
+// wire delay function.
 func AnalyzeCustom(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel) (*Analysis, error) {
-	return AnalyzeCustomWorkers(nl, wireOf, dm, 1)
+	return AnalyzeCustomContext(context.Background(), nl, wireOf, dm)
 }
 
-// minParallelCells gates the levelized parallel path: below this size
-// the per-level goroutine fan-out costs more than the work it splits.
-const minParallelCells = 2048
-
-// minParallelLevel is the smallest level that is worth fanning out.
-const minParallelLevel = 256
-
-// AnalyzeCustomWorkers runs a full STA pass with an arbitrary
-// per-connection wire delay function on the given number of workers.
-// wireOf must be safe for concurrent calls when workers > 1.
-func AnalyzeCustomWorkers(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkersCtx(context.Background(), nl, wireOf, dm, workers)
-}
-
-// ctxCheckStride is how many serial per-cell steps run between
-// cancellation checks; ctx.Err can take a lock, so the check is
-// amortized over a stride that still reacts within microseconds of
-// work.
+// ctxCheckStride is how many per-cell steps run between cancellation
+// checks; ctx.Err can take a lock, so the check is amortized over a
+// stride that still reacts within microseconds of work.
 const ctxCheckStride = 4096
 
-// AnalyzeCustomWorkersCtx is AnalyzeCustomWorkers under a context.
-// Cancellation is cooperative and coarse-grained — between levelized
-// passes and every ctxCheckStride cells on the serial path — which
-// bounds the overhang to a fraction of one pass. A cancelled analysis
-// returns (nil, ctx.Err()) and never a partial Analysis.
-func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, workers int) (*Analysis, error) {
+// AnalyzeCustomContext is AnalyzeCustom under a context. Cancellation
+// is cooperative and checked every ctxCheckStride cells, which bounds
+// the overhang to a fraction of one pass. A cancelled analysis returns
+// (nil, ctx.Err()) and never a partial Analysis.
+func AnalyzeCustomContext(ctx context.Context, nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel) (*Analysis, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -173,53 +142,22 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 	// same order is what makes incremental results Float64bits-identical
 	// to a from-scratch pass.
 	p := &pass{nl: nl, wireOf: wireOf, dm: dm, a: a}
-	forward := p.forward
-	regArr := p.regArr
-	backward := p.backward
-
-	var regs []netlist.CellID
+	for i, id := range order {
+		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		p.forward(id)
+	}
 	for _, id := range order {
 		if c := nl.Cell(id); c.IsSource() && c.IsSink() {
-			regs = append(regs, id)
+			p.regArr(id)
 		}
 	}
-
-	if workers <= 1 || len(order) < minParallelCells {
-		for i, id := range order {
-			if i%ctxCheckStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			forward(id)
+	for i := len(order) - 1; i >= 0; i-- {
+		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		for _, id := range regs {
-			regArr(id)
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			if i%ctxCheckStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			backward(order[i])
-		}
-	} else {
-		// Levelized parallel passes: all cells of one level depend
-		// only on cells of strictly earlier levels (later levels, for
-		// the backward pass), so each level fans out across workers.
-		// Cancellation is checked between levels: a level's workers
-		// always run to completion, so no goroutine outlives the call.
-		levels, _ := levelize(nl, order)
-		for _, lv := range levels {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			runLevel(lv, workers, forward)
-		}
-		runLevel(regs, workers, regArr)
-		for i := len(levels) - 1; i >= 0; i-- {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			runLevel(levels[i], workers, backward)
-		}
+		p.backward(order[i])
 	}
 
 	a.reducePeriod(order)
@@ -349,8 +287,7 @@ func (p *pass) backward(id netlist.CellID) {
 // reducePeriod recomputes Period/CritSink and the runner-up
 // SecondArr/SecondSink by scanning sink arrivals over ids in
 // topological order (first sink to strictly exceed the running maximum
-// wins), so serial, parallel, and incremental passes agree on
-// tie-breaking. Non-sinks carry SinkArr = -Inf and are skipped, so
+// wins), so full and incremental passes agree on tie-breaking. Non-sinks carry SinkArr = -Inf and are skipped, so
 // passing the full order or just the sinks in order is equivalent.
 func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 	a.Period = math.Inf(-1)
@@ -376,8 +313,7 @@ func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 
 // levelize buckets the live cells by combinational depth: sources at
 // level 0, every other cell one past its deepest fanin driver. Within
-// a level cells keep their topological order, so chunked reductions
-// stay deterministic. The second result maps each cell to its level
+// a level cells keep their topological order. The second result maps each cell to its level
 // (meaningful for cells in order only); the incremental engine keys
 // its worklist buckets by it.
 func levelize(nl *netlist.Netlist, order []netlist.CellID) ([][]netlist.CellID, []int32) {
@@ -408,33 +344,6 @@ func levelize(nl *netlist.Netlist, order []netlist.CellID) ([][]netlist.CellID, 
 		levels[lvl[id]] = append(levels[lvl[id]], id)
 	}
 	return levels, lvl
-}
-
-// runLevel applies fn to every cell of one level, fanning out across
-// workers when the level is wide enough to amortize the goroutines.
-func runLevel(cells []netlist.CellID, workers int, fn func(netlist.CellID)) {
-	if workers <= 1 || len(cells) < minParallelLevel {
-		for _, id := range cells {
-			fn(id)
-		}
-		return
-	}
-	chunk := (len(cells) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(cells); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wg.Add(1)
-		go func(span []netlist.CellID) {
-			defer wg.Done()
-			for _, id := range span {
-				fn(id)
-			}
-		}(cells[lo:hi])
-	}
-	wg.Wait()
 }
 
 // Slack returns Period minus the slowest path through cell id; cells on
