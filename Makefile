@@ -21,7 +21,7 @@ QUEUE ?= 64
 JOBS ?= 50
 CONCURRENCY ?= 8
 
-.PHONY: build test race vet lint lint-cold assert oracle cover serve-race check bench bench-json serve loadtest clean
+.PHONY: build test race vet lint assert oracle cover serve-race check bench bench-json serve loadtest clean
 
 # Coverage floor for the differentially-tested packages (per-package,
 # percent of statements). The oracle exists to exercise the embedder;
@@ -50,18 +50,8 @@ vet:
 # the points-to layer (aliasrace, arenaescape, chanshare).
 # Zero unsuppressed findings is part of `make check`; see
 # `go run ./cmd/replint -rules` for the catalog.
-#
-# `make lint` uses the incremental fact cache (REPLINT_CACHE, default
-# .replint-cache): unchanged packages replay stored findings without
-# reloading the module. `make lint-cold` bypasses the cache for a
-# from-scratch run.
-REPLINT_CACHE ?= .replint-cache
-
 lint:
-	$(GO) run ./cmd/replint -cache-dir $(REPLINT_CACHE) ./...
-
-lint-cold:
-	$(GO) run ./cmd/replint -no-cache ./...
+	$(GO) run ./cmd/replint ./...
 
 # Runtime invariant layer: built with -tags replassert, the embedder and
 # the STA re-verify their structural invariants (prune staircase, wave
@@ -124,4 +114,3 @@ loadtest:
 
 clean:
 	rm -f BENCH_embed.txt BENCH_embed.json BENCH_0006.txt BENCH_0009.txt cover.out
-	rm -rf .replint-cache

@@ -132,6 +132,9 @@ func main() {
 		fmt.Printf("%s: %d iterations, %d replicated, %d unified, %d FF relocations\n",
 			algorithm, st.Iterations, st.Replicated, st.Unified, st.FFRelocations)
 	}
+	if err := flow.CheckDesign(nl, pl); err != nil {
+		fatalf("%s produced %v", algorithm, err)
+	}
 
 	a, err = timing.Analyze(nl, pl, cfg.Delay)
 	if err != nil {
@@ -173,7 +176,9 @@ func main() {
 		if err := nl.Write(out); err != nil {
 			fatalf("write: %v", err)
 		}
-		out.Close()
+		if err := out.Close(); err != nil {
+			fatalf("write: %v", err)
+		}
 		fmt.Printf("wrote optimized netlist to %s\n", *outPath)
 	}
 }

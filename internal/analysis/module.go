@@ -181,7 +181,7 @@ func (m *Module) RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 // and frozen by BuildModule, so per-package runs only share read-only
 // state plus the mutex-guarded CFG cache. workers <= 0 means
 // GOMAXPROCS. Unknown paths are silently skipped (the driver validates
-// paths before fact lookup).
+// paths first).
 func (m *Module) RunPackages(paths []string, analyzers []*Analyzer, workers int) map[string][]Finding {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -390,8 +390,8 @@ func RunAlgorithm(b *Baseline, algo Algorithm, cfg Config) (*Result, error) {
 
 // CheckDesign verifies that an optimizer left a usable design: the
 // netlist passes Validate and the placement is legal. Every entry point
-// that runs an optimizer — RunAlgorithm here and the repld job runner —
-// calls it on the result before measuring it.
+// that runs an optimizer — RunAlgorithm here, the repld job runner and
+// cmd/rtembed — calls it on the result before measuring it.
 func CheckDesign(nl *netlist.Netlist, pl *placement.Placement) error {
 	if err := nl.Validate(); err != nil {
 		return fmt.Errorf("invalid netlist: %w", err)
