@@ -1,8 +1,9 @@
 // Command replcheck runs the correctness oracle suite from the command
-// line: brute-force frontier agreement for the embedding DP, and the
+// line: brute-force frontier agreement for the embedding DP, the
 // differential/metamorphic engine checks (repeated-run bit-identity,
 // functional equivalence, structural invariants, rename and translation
-// invariance) on randomized circuits.
+// invariance) on randomized circuits, and the router-result checks on
+// W∞ and W_ls routings of randomized placed circuits.
 //
 //	replcheck                 # default budget of every check family
 //	replcheck -frontier 2000  # hammer the embedder only
@@ -18,12 +19,18 @@ import (
 	"math/rand"
 	"os"
 
+	"repro/internal/arch"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/oracle"
 	"repro/internal/place"
+	"repro/internal/route"
 )
+
+// routedRuns is how many randomized placed circuits the router-result
+// checks route, each in the W∞ and W_ls regimes (about a second in all).
+const routedRuns = 4
 
 func main() {
 	var (
@@ -120,7 +127,59 @@ func main() {
 	if *translate > 0 {
 		fmt.Printf("translation invariance %d runs OK\n", *translate)
 	}
+
+	rrng := rand.New(rand.NewSource(*seed + 200))
+	for i := 0; i < routedRuns; i++ {
+		spec := circuits.Spec{
+			Name:    "replcheck",
+			LUTs:    20 + rrng.Intn(40),
+			Inputs:  3 + rrng.Intn(4),
+			Outputs: 2 + rrng.Intn(3),
+			Seed:    rrng.Int63n(1 << 30),
+		}
+		if i%2 == 1 {
+			spec.RegisteredFrac = 0.3
+		}
+		w, err := checkRouting(spec)
+		if err != nil {
+			fail("routed run %d (seed %d): %v", i, spec.Seed, err)
+		}
+		fmt.Printf("routed run %-2d  %d LUTs: W_ls width %d OK\n", i, spec.LUTs, w)
+	}
 	fmt.Println("replcheck: all checks passed")
+}
+
+// checkRouting places spec and routes it in the W∞ and W_ls regimes,
+// running oracle.CheckRouted on both results. It returns the W_ls
+// width.
+func checkRouting(spec circuits.Spec) (int, error) {
+	nl, err := circuits.Generate(spec)
+	if err != nil {
+		return 0, err
+	}
+	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	po := place.Defaults()
+	po.Effort = 1
+	po.Seed = spec.Seed
+	pl, err := place.Place(nl, f, po)
+	if err != nil {
+		return 0, err
+	}
+	inf, err := route.Infinite(nl, pl, f, po.Delay, route.Defaults())
+	if err != nil {
+		return 0, err
+	}
+	if err := oracle.CheckRouted(nl, pl, po.Delay, 0, inf); err != nil {
+		return 0, fmt.Errorf("W∞: %w", err)
+	}
+	ls, w, err := route.LowStress(nl, pl, f, po.Delay, route.Defaults())
+	if err != nil {
+		return 0, err
+	}
+	if err := oracle.CheckRouted(nl, pl, po.Delay, w, ls); err != nil {
+		return 0, fmt.Errorf("W_ls width %d: %w", w, err)
+	}
+	return w, nil
 }
 
 func engineOpts(spec circuits.Spec, cfg core.Config) oracle.EngineCheckOptions {

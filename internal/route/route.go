@@ -17,10 +17,10 @@
 package route
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
@@ -89,20 +89,58 @@ type router struct {
 	dm  arch.DelayModel
 	opt Options
 
-	w, h    int // tile grid dims: (N+2) x (N+2)
-	occ     []int16
-	hist    []float64
-	presFac float64
+	w, h     int // tile grid dims: (N+2) x (N+2)
+	capacity int // per-tile track capacity (1<<20 when infinite)
+	occ      []int16
+	hist     []float64
+	presFac  float64
 
-	// Per-net routing trees: tile -> distance from driver.
-	trees   []map[int32]int32
-	connLen map[Conn]int
+	// nets lists every net with sinks in routing order, with the
+	// placement-derived data every PathFinder iteration reuses.
+	nets []netJob
+	// connLen[nets[i].conn+k] is the routed length of nets[i]'s k-th
+	// sorted sink in the latest iteration.
+	connLen []int32
 
-	// Scratch buffers for Dijkstra, sized once.
+	// Dense routing tree of the net being routed: tile t is on the
+	// tree iff treeMark[t] == treeEpoch, at distance treeDist[t] from
+	// the driver. members lists the tree's tiles in ascending order,
+	// the Dijkstra seed order.
+	treeDist  []int32
+	treeMark  []int32
+	treeEpoch int32
+	members   []int32
+
+	// Dijkstra scratch, sized once.
 	dist    []float64
 	prev    []int32
 	visited []int32 // epoch marks
 	epoch   int32
+	heap    []pqItem
+	path    []int32
+}
+
+// netJob is one net's routing input, derived from the placement once
+// per Route call.
+type netJob struct {
+	id     netlist.NetID
+	span   int // farthest sink's Manhattan distance from the driver
+	driver int32
+	// Routing region: net bounding box plus margin.
+	x0, y0, x1, y1 int
+	// sinks in routing order (nearest first) and their tiles.
+	sinks []netlist.Pin
+	tiles []int32
+	// conn is the offset of the net's sinks in router.connLen.
+	conn int
+	// treeSize is the node count of the net's latest tree.
+	treeSize int
+}
+
+// pqItem is a Dijkstra frontier entry.
+type pqItem struct {
+	cost float64
+	tile int32
 }
 
 // Route routes all nets of the placed netlist.
@@ -122,28 +160,30 @@ func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayMo
 	r := &router{
 		nl: nl, pl: pl, f: f, dm: dm, opt: opt,
 		w: f.N + 2, h: f.N + 2,
+		capacity: opt.ChannelWidth,
+	}
+	if r.infinite() {
+		r.capacity = 1 << 20
 	}
 	n := r.w * r.h
 	r.occ = make([]int16, n)
 	r.hist = make([]float64, n)
-	r.trees = make([]map[int32]int32, nl.NetCap())
+	r.treeDist = make([]int32, n)
+	r.treeMark = make([]int32, n)
 	r.dist = make([]float64, n)
 	r.prev = make([]int32, n)
 	r.visited = make([]int32, n)
+	r.prepare()
 
-	nets := r.netOrder()
 	r.presFac = opt.PresFacInit
 	res := &Result{}
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		res.Iterations = iter + 1
 		// Rip up everything and reroute under current penalties (the
 		// original PathFinder formulation).
-		for i := range r.occ {
-			r.occ[i] = 0
-		}
-		r.connLen = make(map[Conn]int, len(r.connLen))
-		for _, netID := range nets {
-			if err := r.routeNet(netID); err != nil {
+		clear(r.occ)
+		for i := range r.nets {
+			if err := r.routeNet(&r.nets[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -162,10 +202,10 @@ func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayMo
 	if r.infinite() {
 		res.Feasible = true
 	}
-	res.ConnLen = r.connLen
+	res.ConnLen = r.connLenMap()
 	res.TileUsage = r.tileUsage()
 	res.WireLength = r.totalWire()
-	cp, err := r.critPath()
+	cp, err := r.critPath(res.ConnLen)
 	if err != nil {
 		return nil, err
 	}
@@ -175,58 +215,78 @@ func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayMo
 
 func (r *router) infinite() bool { return r.opt.ChannelWidth <= 0 }
 
-func (r *router) cap() int {
-	if r.infinite() {
-		return 1 << 20
-	}
-	return r.opt.ChannelWidth
-}
-
 func (r *router) tile(l arch.Loc) int32 { return int32(int(l.Y)*r.w + int(l.X)) }
 
 func (r *router) loc(t int32) arch.Loc {
 	return arch.Loc{X: int16(int(t) % r.w), Y: int16(int(t) / r.w)}
 }
 
-// netOrder routes long nets first (their flexibility is lowest), a
-// common PathFinder ordering; it is deterministic.
-func (r *router) netOrder() []netlist.NetID {
-	type entry struct {
-		id   netlist.NetID
-		span int
+// prepare builds r.nets: each net's driver tile, routing region and
+// sinks sorted nearest first (ties by pin), ordered long nets first
+// (their flexibility is lowest), a common PathFinder ordering; it is
+// deterministic.
+func (r *router) prepare() {
+	total := 0
+	r.nl.Nets(func(n *netlist.Net) { total += len(n.Sinks) })
+	// Exact capacity: the per-net subslices below never move.
+	pins := make([]netlist.Pin, 0, total)
+	tiles := make([]int32, 0, total)
+	r.connLen = make([]int32, total)
+
+	type sinkKey struct {
+		pin  netlist.Pin
+		dist int
+		tile int32
 	}
-	var nets []entry
+	var keys []sinkKey
+	m := r.opt.BBoxMargin
 	r.nl.Nets(func(n *netlist.Net) {
 		if len(n.Sinks) == 0 {
 			return
 		}
-		d := r.pl.Loc(n.Driver)
-		span := 0
+		dl := r.pl.Loc(n.Driver)
+		j := netJob{id: n.ID, driver: r.tile(dl), conn: len(pins)}
+		x0, x1, y0, y1 := int(dl.X), int(dl.X), int(dl.Y), int(dl.Y)
+		keys = keys[:0]
 		for _, p := range n.Sinks {
-			if dd := arch.Dist(d, r.pl.Loc(p.Cell)); dd > span {
-				span = dd
+			sl := r.pl.Loc(p.Cell)
+			d := arch.Dist(dl, sl)
+			j.span = max(j.span, d)
+			x0, x1 = min(x0, int(sl.X)), max(x1, int(sl.X))
+			y0, y1 = min(y0, int(sl.Y)), max(y1, int(sl.Y))
+			keys = append(keys, sinkKey{p, d, r.tile(sl)})
+		}
+		j.x0, j.y0, j.x1, j.y1 = max(0, x0-m), max(0, y0-m), min(r.w-1, x1+m), min(r.h-1, y1+m)
+		slices.SortFunc(keys, func(a, b sinkKey) int {
+			if a.dist != b.dist {
+				return cmp.Compare(a.dist, b.dist)
 			}
+			if a.pin.Cell != b.pin.Cell {
+				return cmp.Compare(a.pin.Cell, b.pin.Cell)
+			}
+			return cmp.Compare(a.pin.Input, b.pin.Input)
+		})
+		for _, k := range keys {
+			pins = append(pins, k.pin)
+			tiles = append(tiles, k.tile)
 		}
-		nets = append(nets, entry{n.ID, span})
+		j.sinks = pins[j.conn:len(pins):len(pins)]
+		j.tiles = tiles[j.conn:len(tiles):len(tiles)]
+		r.nets = append(r.nets, j)
 	})
-	sort.Slice(nets, func(i, j int) bool {
-		if nets[i].span != nets[j].span {
-			return nets[i].span > nets[j].span
+	slices.SortFunc(r.nets, func(a, b netJob) int {
+		if a.span != b.span {
+			return cmp.Compare(b.span, a.span)
 		}
-		return nets[i].id < nets[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	out := make([]netlist.NetID, len(nets))
-	for i, e := range nets {
-		out[i] = e.id
-	}
-	return out
 }
 
 // nodeCost is the PathFinder cost of using a tile: (base + history) ×
 // present-sharing penalty.
 func (r *router) nodeCost(t int32) float64 {
 	base := 1.0 + r.hist[t]
-	over := int(r.occ[t]) + 1 - r.cap()
+	over := int(r.occ[t]) + 1 - r.capacity
 	if over <= 0 {
 		return base
 	}
@@ -234,91 +294,90 @@ func (r *router) nodeCost(t int32) float64 {
 }
 
 // routeNet grows the net's Steiner tree sink by sink (nearest first).
-func (r *router) routeNet(netID netlist.NetID) error {
-	net := r.nl.Net(netID)
-	driver := r.tile(r.pl.Loc(net.Driver))
-	tree := map[int32]int32{driver: 0}
-	r.trees[netID] = tree
-	r.occ[driver]++
+func (r *router) routeNet(j *netJob) error {
+	r.treeEpoch++
+	r.treeMark[j.driver] = r.treeEpoch
+	r.treeDist[j.driver] = 0
+	r.members = append(r.members[:0], j.driver)
+	r.occ[j.driver]++
 
-	// Region: net bounding box plus margin.
-	x0, y0, x1, y1 := r.region(net)
-
-	sinks := append([]netlist.Pin(nil), net.Sinks...)
-	dl := r.pl.Loc(net.Driver)
-	sort.Slice(sinks, func(i, j int) bool {
-		di := arch.Dist(dl, r.pl.Loc(sinks[i].Cell))
-		dj := arch.Dist(dl, r.pl.Loc(sinks[j].Cell))
-		if di != dj {
-			return di < dj
+	lens := r.connLen[j.conn : j.conn+len(j.sinks)]
+	for k, target := range j.tiles {
+		if r.treeMark[target] != r.treeEpoch {
+			if err := r.connect(j, target); err != nil {
+				return fmt.Errorf("route: net %s sink %v: %w", r.nl.Net(j.id).Name, j.sinks[k], err)
+			}
 		}
-		if sinks[i].Cell != sinks[j].Cell {
-			return sinks[i].Cell < sinks[j].Cell
-		}
-		return sinks[i].Input < sinks[j].Input
-	})
-	for _, p := range sinks {
-		target := r.tile(r.pl.Loc(p.Cell))
-		if _, onTree := tree[target]; onTree {
-			r.connLen[Conn{netID, p}] = int(tree[target])
-			continue
-		}
-		if err := r.connect(netID, tree, target, x0, y0, x1, y1); err != nil {
-			return fmt.Errorf("route: net %s sink %v: %w", net.Name, p, err)
-		}
-		r.connLen[Conn{netID, p}] = int(tree[target])
+		lens[k] = r.treeDist[target]
 	}
+	j.treeSize = len(r.members)
 	return nil
 }
 
-func (r *router) region(net *netlist.Net) (x0, y0, x1, y1 int) {
-	l := r.pl.Loc(net.Driver)
-	x0, x1, y0, y1 = int(l.X), int(l.X), int(l.Y), int(l.Y)
-	for _, p := range net.Sinks {
-		sl := r.pl.Loc(p.Cell)
-		x0 = min(x0, int(sl.X))
-		x1 = max(x1, int(sl.X))
-		y0 = min(y0, int(sl.Y))
-		y1 = max(y1, int(sl.Y))
+// push adds an entry to the Dijkstra frontier. It sifts up exactly as
+// container/heap does (strictly cheaper than the parent moves up), so
+// equal-cost entries order, and ties break, the same way.
+func (r *router) push(it pqItem) {
+	q := append(r.heap, it)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(it.cost < q[parent].cost) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	m := r.opt.BBoxMargin
-	return max(0, x0-m), max(0, y0-m), min(r.w-1, x1+m), min(r.h-1, y1+m)
+	q[i] = it
+	r.heap = q
 }
 
-// pqItem is a Dijkstra frontier entry.
-type pqItem struct {
-	cost float64
-	tile int32
+// pop removes the cheapest frontier entry. Like container/heap.Pop it
+// moves the last entry to the root and sifts it down, descending to
+// the right child only when that is strictly cheaper than the left.
+func (r *router) pop() pqItem {
+	q := r.heap
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c2 := c + 1; c2 < n && q[c2].cost < q[c].cost {
+				c = c2
+			}
+			if !(q[c].cost < last.cost) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	r.heap = q
+	return top
 }
-type pq []pqItem
-
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].cost < q[j].cost }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // connect runs a multi-source Dijkstra from the current tree to the
 // target tile and commits the found path to the tree.
-func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32, x0, y0, x1, y1 int) error {
+func (r *router) connect(j *netJob, target int32) error {
 	r.epoch++
-	var q pq
-	// Seed in sorted tile order: map iteration order would make
-	// zero-cost tie-breaking (and hence chosen routes) nondeterministic.
-	seeds := make([]int32, 0, len(tree))
-	for t := range tree {
-		seeds = append(seeds, t)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, t := range seeds {
+	r.heap = r.heap[:0]
+	// Seed in ascending tile order: the order fixes zero-cost
+	// tie-breaking, and hence the chosen routes.
+	for _, t := range r.members {
 		r.dist[t] = 0
 		r.prev[t] = -1
 		r.visited[t] = r.epoch
-		heap.Push(&q, pqItem{0, t})
+		r.push(pqItem{0, t})
 	}
 	found := false
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(r.heap) > 0 {
+		it := r.pop()
 		t := it.tile
 		if it.cost > r.dist[t] {
 			continue
@@ -327,44 +386,59 @@ func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32
 			found = true
 			break
 		}
-		x, y := int(t)%r.w, int(t)/r.w
-		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			nx, ny := x+d[0], y+d[1]
-			if nx < x0 || nx > x1 || ny < y0 || ny > y1 {
-				continue
-			}
-			nt := int32(ny*r.w + nx)
-			c := it.cost + r.nodeCost(nt)
-			if r.visited[nt] != r.epoch || c < r.dist[nt] {
-				r.visited[nt] = r.epoch
-				r.dist[nt] = c
-				r.prev[nt] = t
-				heap.Push(&q, pqItem{c, nt})
-			}
+		// Expand east, west, north, south; every popped tile lies in
+		// the region, so only the step's own side can leave it.
+		x, y, w := int(t)%r.w, int(t)/r.w, int32(r.w)
+		if x < j.x1 {
+			r.relax(it.cost, t, t+1)
+		}
+		if x > j.x0 {
+			r.relax(it.cost, t, t-1)
+		}
+		if y < j.y1 {
+			r.relax(it.cost, t, t+w)
+		}
+		if y > j.y0 {
+			r.relax(it.cost, t, t-w)
 		}
 	}
 	if !found {
-		return fmt.Errorf("target unreachable in region (%d,%d)-(%d,%d)", x0, y0, x1, y1)
+		return fmt.Errorf("target unreachable in region (%d,%d)-(%d,%d)", j.x0, j.y0, j.x1, j.y1)
 	}
 	// Commit the path; distances from the driver accumulate along it.
-	var path []int32
-	for t := target; t != -1; t = r.prev[t] {
-		if _, onTree := tree[t]; onTree {
-			path = append(path, t)
-			break
-		}
+	// The walk runs target .. just before the join point on the tree.
+	path := r.path[:0]
+	t := target
+	for r.treeMark[t] != r.treeEpoch {
 		path = append(path, t)
+		t = r.prev[t]
 	}
-	// path runs target .. joinpoint; the join point is on the tree.
-	join := path[len(path)-1]
-	base := tree[join]
-	for i := len(path) - 2; i >= 0; i-- {
+	base := r.treeDist[t]
+	for i := len(path) - 1; i >= 0; i-- {
 		t := path[i]
 		base++
-		tree[t] = base
+		r.treeMark[t] = r.treeEpoch
+		r.treeDist[t] = base
 		r.occ[t]++
 	}
+	r.path = path
+	for _, t := range path {
+		k, _ := slices.BinarySearch(r.members, t)
+		r.members = slices.Insert(r.members, k, t)
+	}
 	return nil
+}
+
+// relax offers tile nt, reached from t at the given cost so far, to
+// the frontier.
+func (r *router) relax(cost float64, t, nt int32) {
+	c := cost + r.nodeCost(nt)
+	if r.visited[nt] != r.epoch || c < r.dist[nt] {
+		r.visited[nt] = r.epoch
+		r.dist[nt] = c
+		r.prev[nt] = t
+		r.push(pqItem{c, nt})
+	}
 }
 
 // updateCongestion accumulates history cost and returns the number of
@@ -372,9 +446,9 @@ func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32
 func (r *router) updateCongestion() int {
 	over := 0
 	for t := range r.occ {
-		if int(r.occ[t]) > r.cap() {
+		if int(r.occ[t]) > r.capacity {
 			over++
-			r.hist[t] += r.opt.HistFac * float64(int(r.occ[t])-r.cap())
+			r.hist[t] += r.opt.HistFac * float64(int(r.occ[t])-r.capacity)
 		}
 	}
 	return over
@@ -394,12 +468,25 @@ func (r *router) tileUsage() map[arch.Loc]int {
 // totalWire sums tree sizes (edges = nodes - 1).
 func (r *router) totalWire() int {
 	total := 0
-	for _, tree := range r.trees {
-		if len(tree) > 1 {
-			total += len(tree) - 1
+	for i := range r.nets {
+		if s := r.nets[i].treeSize; s > 1 {
+			total += s - 1
 		}
 	}
 	return total
+}
+
+// connLenMap exports the latest iteration's connection lengths. A pin
+// a net lists twice maps to one key, with the length both copies share.
+func (r *router) connLenMap() map[Conn]int {
+	out := make(map[Conn]int, len(r.connLen))
+	for i := range r.nets {
+		j := &r.nets[i]
+		for k, p := range j.sinks {
+			out[Conn{j.id, p}] = int(r.connLen[j.conn+k])
+		}
+	}
+	return out
 }
 
 // critPath runs STA with routed wire lengths substituted for Manhattan
@@ -408,7 +495,7 @@ func (r *router) totalWire() int {
 // this is exactly why Marquardt et al. call W∞ "a good placement
 // evaluation metric" (wirelength still reports the shared Steiner
 // trees, which is what unlimited routing would fan out from one pin).
-func (r *router) critPath() (float64, error) {
+func (r *router) critPath(connLen map[Conn]int) (float64, error) {
 	if r.infinite() {
 		a, err := timing.Analyze(r.nl, r.pl, r.dm)
 		if err != nil {
@@ -427,7 +514,7 @@ func (r *router) critPath() (float64, error) {
 				if p.Cell != v {
 					continue
 				}
-				if l, ok := r.connLen[Conn{uc.Out, p}]; ok && float64(l) < best {
+				if l, ok := connLen[Conn{uc.Out, p}]; ok && float64(l) < best {
 					best = float64(l)
 				}
 			}
@@ -445,6 +532,9 @@ func (r *router) critPath() (float64, error) {
 	return a.Period, nil
 }
 
+// maxProbeWidth is the widest channel MinChannelWidth tries.
+const maxProbeWidth = 4096
+
 // MinChannelWidth binary-searches the smallest channel width that
 // routes feasibly.
 func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (int, error) {
@@ -459,11 +549,11 @@ func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm ar
 		if res.Feasible {
 			break
 		}
-		lo = hi + 1
-		hi *= 2
-		if hi > 4096 {
+		if hi >= maxProbeWidth {
 			return 0, fmt.Errorf("route: no feasible width up to %d", hi)
 		}
+		lo = hi + 1
+		hi *= 2
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -502,18 +592,4 @@ func Infinite(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.Dela
 	opt.ChannelWidth = 0
 	opt.MaxIters = 1
 	return Route(nl, pl, f, dm, opt)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

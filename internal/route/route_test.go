@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -296,5 +297,58 @@ func TestTileUsage(t *testing.T) {
 	}
 	if total != res.WireLength+n.NumNets() {
 		t.Errorf("usage total %d, want wire %d + nets %d", total, res.WireLength, n.NumNets())
+	}
+}
+
+func TestMinChannelWidthReportsWidestTried(t *testing.T) {
+	// One more net than the widest probe starts and ends on a single
+	// tile, so that tile is overused at every width the search tries.
+	n := netlist.New("jam")
+	loc := mapLoc{}
+	at := arch.Loc{X: 2, Y: 2}
+	for i := 0; i <= maxProbeWidth; i++ {
+		in := n.AddCell("i"+itoa(i), netlist.IPad, 0)
+		inID, net := in.ID, in.Out
+		out := n.AddCell("o"+itoa(i), netlist.OPad, 1)
+		n.Connect(out.ID, 0, net)
+		loc[inID], loc[out.ID] = at, at
+	}
+	opt := Defaults()
+	opt.MaxIters = 1
+	_, err := MinChannelWidth(n, loc, arch.New(3), dm(), opt)
+	if err == nil {
+		t.Fatal("MinChannelWidth succeeded on an unroutable design")
+	}
+	if want := "no feasible width up to 4096"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q, want it to contain %q", err, want)
+	}
+}
+
+func TestConnLenDuplicatePin(t *testing.T) {
+	// A net that lists a sink pin twice routes it once and reports it
+	// under one key, with the same length as the single listing.
+	n, loc, f := straightChain(t)
+	want, err := Infinite(n, loc, f, dm(), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	iID, _ := n.CellByName("i")
+	net := n.Net(n.Cell(iID).Out)
+	net.Sinks = append(net.Sinks, net.Sinks[0])
+	got, err := Infinite(n, loc, f, dm(), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.ConnLen) != len(want.ConnLen) {
+		t.Fatalf("ConnLen has %d entries, want %d", len(got.ConnLen), len(want.ConnLen))
+	}
+	for c, l := range want.ConnLen {
+		if got.ConnLen[c] != l {
+			t.Errorf("ConnLen[%v] = %d, want %d", c, got.ConnLen[c], l)
+		}
+	}
+	if got.WireLength != want.WireLength || got.CritPath != want.CritPath {
+		t.Errorf("duplicate pin changed the routing: wire %d/%d, period %v/%v",
+			got.WireLength, want.WireLength, got.CritPath, want.CritPath)
 	}
 }
