@@ -32,7 +32,6 @@ func benchCfg() flow.Config {
 	cfg := flow.Defaults()
 	cfg.Scale = 0.05
 	cfg.PlaceEffort = 1
-	cfg.LocalRepRuns = 2
 	return cfg
 }
 

@@ -14,17 +14,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
-	"repro/internal/arch"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/flow"
 	"repro/internal/oracle"
-	"repro/internal/place"
 	"repro/internal/route"
 )
 
@@ -120,7 +120,7 @@ func main() {
 	tcfg.FFRelocation = false
 	for i := 0; i < *translate; i++ {
 		dx, dy := int16(1+i%2), int16(2-i%2)
-		if err := oracle.CheckTranslationInvariance(*seed+int64(i), 48, tcfg, place.Defaults().Delay, dx, dy); err != nil {
+		if err := oracle.CheckTranslationInvariance(*seed+int64(i), 48, tcfg, flow.Defaults().Delay, dx, dy); err != nil {
 			fail("translation run %d: %v", i, err)
 		}
 	}
@@ -149,49 +149,53 @@ func main() {
 	fmt.Println("replcheck: all checks passed")
 }
 
-// checkRouting places spec and routes it in the W∞ and W_ls regimes,
-// running oracle.CheckRouted on both results. It returns the W_ls
-// width.
+// checkRouting places spec with flow's place stage and routes it in
+// the W∞ and W_ls regimes, running oracle.CheckRouted on both results.
+// It returns the W_ls width.
 func checkRouting(spec circuits.Spec) (int, error) {
 	nl, err := circuits.Generate(spec)
 	if err != nil {
 		return 0, err
 	}
-	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
-	po := place.Defaults()
-	po.Effort = 1
-	po.Seed = spec.Seed
-	pl, err := place.Place(nl, f, po)
+	cfg := placeCfg(spec.Seed)
+	pl, f, err := flow.Place(context.Background(), nl, cfg)
 	if err != nil {
 		return 0, err
 	}
-	inf, err := route.Infinite(nl, pl, f, po.Delay, route.Defaults())
+	inf, err := route.Infinite(nl, pl, f, cfg.Delay, route.Defaults())
 	if err != nil {
 		return 0, err
 	}
-	if err := oracle.CheckRouted(nl, pl, po.Delay, 0, inf); err != nil {
+	if err := oracle.CheckRouted(nl, pl, cfg.Delay, 0, inf); err != nil {
 		return 0, fmt.Errorf("W∞: %w", err)
 	}
-	ls, w, err := route.LowStress(nl, pl, f, po.Delay, route.Defaults())
+	ls, w, err := route.LowStress(nl, pl, f, cfg.Delay, route.Defaults())
 	if err != nil {
 		return 0, err
 	}
-	if err := oracle.CheckRouted(nl, pl, po.Delay, w, ls); err != nil {
+	if err := oracle.CheckRouted(nl, pl, cfg.Delay, w, ls); err != nil {
 		return 0, fmt.Errorf("W_ls width %d: %w", w, err)
 	}
 	return w, nil
 }
 
+// placeCfg is the flow configuration of every replcheck placement:
+// effort 1, seeded by the circuit's own seed.
+func placeCfg(seed int64) flow.Config {
+	cfg := flow.Defaults()
+	cfg.PlaceEffort = 1
+	cfg.Seed = seed
+	return cfg
+}
+
 func engineOpts(spec circuits.Spec, cfg core.Config) oracle.EngineCheckOptions {
-	po := place.Defaults()
-	po.Effort = 1
-	po.Seed = spec.Seed
+	pcfg := placeCfg(spec.Seed)
 	return oracle.EngineCheckOptions{
 		Spec:      spec,
 		GridN:     8,
-		PlaceOpts: po,
+		PlaceOpts: pcfg.PlaceOptions(),
 		Config:    cfg,
-		Delay:     po.Delay,
+		Delay:     pcfg.Delay,
 		Equiv:     oracle.EquivOptions{Seed: spec.Seed},
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,12 +17,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/localrep"
 	"repro/internal/netlist"
-	"repro/internal/place"
-	"repro/internal/route"
+	"repro/internal/placement"
 	"repro/internal/timing"
 )
 
@@ -50,6 +48,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	if (*circuit == "") == (*netlistPath == "") {
+		fmt.Fprintln(os.Stderr, "rtembed: need exactly one of -circuit or -netlist")
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	cfg := flow.Defaults()
 	cfg.Scale = *scale
 	cfg.PlaceEffort = *effort
@@ -57,8 +61,7 @@ func main() {
 	cfg.SkipRouting = *skipRouting
 
 	var nl *netlist.Netlist
-	switch {
-	case *netlistPath != "":
+	if *netlistPath != "" {
 		f, err := os.Open(*netlistPath)
 		if err != nil {
 			fatalf("%v", err)
@@ -68,7 +71,7 @@ func main() {
 		if err != nil {
 			fatalf("parse %s: %v", *netlistPath, err)
 		}
-	case *circuit != "":
+	} else {
 		spec, ok := circuits.ByName(*circuit)
 		if !ok {
 			fatalf("unknown circuit %q (see cmd/mcncgen for the suite)", *circuit)
@@ -78,94 +81,54 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 
-	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
-	fmt.Printf("circuit %s: %d LUTs, %d I/Os, FPGA %v (density %.3f)\n",
-		nl.Name, nl.NumLUTs(), nl.NumIOs(), f, f.Density(nl.NumLUTs()))
-
-	popt := place.Defaults()
-	popt.Seed = cfg.Seed
-	popt.Effort = cfg.PlaceEffort
-	pl, err := place.Place(nl, f, popt)
+	ctx := context.Background()
+	pl, f, err := flow.Place(ctx, nl, cfg)
 	if err != nil {
 		fatalf("place: %v", err)
 	}
+	fmt.Printf("circuit %s: %d LUTs, %d I/Os, FPGA %v (density %.3f)\n",
+		nl.Name, nl.NumLUTs(), nl.NumIOs(), f, f.Density(nl.NumLUTs()))
 	a, err := timing.Analyze(nl, pl, cfg.Delay)
 	if err != nil {
 		fatalf("sta: %v", err)
 	}
 	fmt.Printf("placed: period %.2f\n", a.Period)
 	if *plot {
-		crit := map[netlist.CellID]bool{}
-		for _, id := range a.CriticalPath(nl, pl, cfg.Delay) {
-			crit[id] = true
-		}
-		fmt.Print(pl.Plot(nl, crit))
+		fmt.Print(plotCritical(nl, pl, a, cfg.Delay))
 	}
 
-	switch algorithm {
-	case flow.VPRBaseline:
-		// nothing
-	case flow.LocalRep:
-		opt := localrep.Defaults()
-		opt.Seed = cfg.Seed
-		var st *localrep.Stats
-		nl, pl, st, err = localrep.BestOf(nl, pl, cfg.Delay, opt, 3)
-		if err != nil {
-			fatalf("local replication: %v", err)
-		}
+	o, err := flow.Optimize(ctx, nl, pl, f, algorithm, cfg)
+	if err != nil {
+		fatalf("optimize: %v", err)
+	}
+	nl, pl = o.Netlist, o.Placement
+	if st := o.LocalStats; st != nil {
 		fmt.Printf("local replication: %d iterations, %d replicated, %d relocated\n",
 			st.Iterations, st.Replicated, st.Relocated)
-	default:
-		ecfg := core.Default()
-		ecfg.Mode = algorithm.Mode()
-		eng := core.New(nl, pl, cfg.Delay, ecfg)
-		st, err := eng.Run()
-		if err != nil {
-			fatalf("engine: %v", err)
-		}
-		nl, pl = eng.Netlist, eng.Placement
+	}
+	if st := o.EngineStats; st != nil {
 		fmt.Printf("%s: %d iterations, %d replicated, %d unified, %d FF relocations\n",
 			algorithm, st.Iterations, st.Replicated, st.Unified, st.FFRelocations)
 	}
-	if err := flow.CheckDesign(nl, pl); err != nil {
-		fatalf("%s produced %v", algorithm, err)
-	}
 
-	a, err = timing.Analyze(nl, pl, cfg.Delay)
+	m, a, err := flow.Measure(ctx, nl, pl, f, cfg)
 	if err != nil {
-		fatalf("sta: %v", err)
+		fatalf("measure: %v", err)
 	}
-	fmt.Printf("optimized: period %.2f, blocks %d\n", a.Period, nl.NumLUTs()+nl.NumIOs())
-	mono := timing.Monotonicity(nl, pl, cfg.Delay, a)
+	fmt.Printf("optimized: period %.2f, blocks %d\n", m.PlacePeriod, m.Blocks)
 	fmt.Printf("monotone worst paths: %d/%d (critical path monotone: %v)\n",
-		mono.Monotone, mono.Paths, mono.CriticalMonotone)
+		m.Mono.Monotone, m.Mono.Paths, m.Mono.CriticalMonotone)
 	if *plot {
-		crit := map[netlist.CellID]bool{}
-		for _, id := range a.CriticalPath(nl, pl, cfg.Delay) {
-			crit[id] = true
-		}
-		fmt.Print(pl.Plot(nl, crit))
+		fmt.Print(plotCritical(nl, pl, a, cfg.Delay))
 	}
 	if *report > 0 {
 		fmt.Print(timing.FormatReport(nl, pl, timing.TopPaths(nl, pl, cfg.Delay, a, *report)))
 	}
-
 	if !cfg.SkipRouting {
-		inf, err := route.Infinite(nl, pl, f, cfg.Delay, route.Defaults())
-		if err != nil {
-			fatalf("route: %v", err)
-		}
-		ls, w, err := route.LowStress(nl, pl, f, cfg.Delay, route.Defaults())
-		if err != nil {
-			fatalf("route: %v", err)
-		}
 		fmt.Printf("routed: W-inf %.2f, W-ls %.2f (width %d), wire %d\n",
-			inf.CritPath, ls.CritPath, w, ls.WireLength)
+			m.WInf, m.WLs, m.Wmin, int(m.Wire))
 	}
 
 	if *outPath != "" {
@@ -181,6 +144,15 @@ func main() {
 		}
 		fmt.Printf("wrote optimized netlist to %s\n", *outPath)
 	}
+}
+
+// plotCritical draws pl's floorplan with a's critical path marked.
+func plotCritical(nl *netlist.Netlist, pl *placement.Placement, a *timing.Analysis, dm arch.DelayModel) string {
+	crit := map[netlist.CellID]bool{}
+	for _, id := range a.CriticalPath(nl, pl, dm) {
+		crit[id] = true
+	}
+	return pl.Plot(nl, crit)
 }
 
 func fatalf(format string, args ...any) {

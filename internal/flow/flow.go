@@ -5,9 +5,15 @@
 // infinite-resource and low-stress regimes, and collect the metrics
 // reported in Tables I-III (critical path W∞ and W_ls, routed wire
 // length, block count) plus the replication statistics of Fig. 14.
+//
+// The pipeline is three stages, Place, Optimize and Measure, each run
+// under a context. RunBaseline and RunAlgorithm compose them for the
+// tables; the repld job runner, cmd/rtembed and cmd/replcheck call the
+// same stages.
 package flow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -23,6 +29,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/route"
 	"repro/internal/timing"
+	"repro/internal/wire"
 )
 
 // Algorithm enumerates the optimizers compared in the paper.
@@ -190,8 +197,6 @@ type Config struct {
 	// the placement STA period; wire falls back to the q·HPWL
 	// estimate). Used by quick benchmarks.
 	SkipRouting bool
-	// LocalRepRuns is the best-of count for the baseline (paper: 3).
-	LocalRepRuns int
 	// Engine overrides the default engine configuration (Mode is set
 	// per algorithm).
 	Engine core.Config
@@ -201,15 +206,18 @@ type Config struct {
 	CongestionFeedback bool
 }
 
+// localRepRuns is the best-of count for the local replication
+// baseline: the paper reports the best of three randomized runs.
+const localRepRuns = 3
+
 // Defaults returns the full-fidelity configuration.
 func Defaults() Config {
 	return Config{
-		Scale:        1.0,
-		PlaceEffort:  10,
-		Seed:         1,
-		Delay:        arch.DefaultDelayModel(),
-		LocalRepRuns: 3,
-		Engine:       core.Default(),
+		Scale:       1.0,
+		PlaceEffort: 10,
+		Seed:        1,
+		Delay:       arch.DefaultDelayModel(),
+		Engine:      core.Default(),
 	}
 }
 
@@ -234,7 +242,8 @@ type Metrics struct {
 	Wire float64
 	// Blocks is LUTs + I/Os, the paper's "total blk".
 	Blocks int
-	// Wmin is the minimum routable channel width (0 if not measured).
+	// Wmin is the W_ls channel width, ceil(1.2 × the minimum routable
+	// width), despite its name (0 if not routed).
 	Wmin int
 	// PlacePeriod is the placement-level STA period.
 	PlacePeriod float64
@@ -256,33 +265,102 @@ func (m Metrics) Normalized(base Metrics) [4]float64 {
 
 // RunBaseline generates, places, and measures one circuit.
 func RunBaseline(spec circuits.MCNCSpec, cfg Config) (*Baseline, error) {
+	ctx := context.Background()
 	nl, err := circuits.Generate(spec.Spec(cfg.Scale))
 	if err != nil {
 		return nil, err
 	}
-	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
-	opts := place.Defaults()
-	opts.Seed = cfg.Seed
-	opts.Effort = cfg.PlaceEffort
-	opts.Delay = cfg.Delay
-	pl, err := place.Place(nl, f, opts)
+	pl, f, err := Place(ctx, nl, cfg)
 	if err != nil {
 		return nil, err
 	}
 	b := &Baseline{Spec: spec, Netlist: nl, Placement: pl, FPGA: f}
-	b.Metrics, err = measure(nl, pl, f, cfg)
+	b.Metrics, _, err = Measure(ctx, nl, pl, f, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// measure routes (unless skipped) and collects metrics.
-func measure(nl *netlist.Netlist, pl *placement.Placement, f *arch.FPGA, cfg Config) (Metrics, error) {
+// PlaceOptions returns the annealer options of cfg's place stage.
+func (cfg Config) PlaceOptions() place.Options {
+	opts := place.Defaults()
+	opts.Seed = cfg.Seed
+	opts.Effort = cfg.PlaceEffort
+	opts.Delay = cfg.Delay
+	return opts
+}
+
+// Place is the place stage: it sizes the smallest square FPGA that
+// holds nl and anneals a timing-driven placement onto it under ctx.
+func Place(ctx context.Context, nl *netlist.Netlist, cfg Config) (*placement.Placement, *arch.FPGA, error) {
+	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	pl, err := place.PlaceContext(ctx, nl, f, cfg.PlaceOptions())
+	return pl, f, err
+}
+
+// Optimized is the optimize stage's outcome: the design the optimizer
+// left and its statistics.
+type Optimized struct {
+	Netlist   *netlist.Netlist
+	Placement *placement.Placement
+	// EngineStats is set for the engine variants and LocalStats for
+	// local replication; the VPR baseline sets neither.
+	EngineStats *core.Stats
+	LocalStats  *localrep.Stats
+}
+
+// Optimize is the optimize stage: it runs algo on the design nl placed
+// as pl on f, under ctx, and checks the result with checkDesign. It may
+// modify nl and pl; a caller that reuses them passes clones.
+func Optimize(ctx context.Context, nl *netlist.Netlist, pl *placement.Placement, f *arch.FPGA, algo Algorithm, cfg Config) (*Optimized, error) {
+	o := &Optimized{Netlist: nl, Placement: pl}
+	switch algo {
+	case VPRBaseline:
+		// The unoptimized placement is the result.
+	case LocalRep:
+		opt := localrep.Defaults()
+		opt.Seed = cfg.Seed
+		var err error
+		o.Netlist, o.Placement, o.LocalStats, err = localrep.BestOf(nl, pl, cfg.Delay, opt, localRepRuns)
+		if err != nil {
+			return nil, fmt.Errorf("local replication: %w", err)
+		}
+	default:
+		ecfg := cfg.Engine
+		ecfg.Mode = algo.Mode()
+		if cfg.CongestionFeedback && !cfg.SkipRouting {
+			rr, err := route.Infinite(nl, pl, f, cfg.Delay, route.Defaults())
+			if err != nil {
+				return nil, err
+			}
+			ecfg.WireCongestion = rr.TileUsage
+			if ecfg.WireCongestionWeight == 0 {
+				ecfg.WireCongestionWeight = core.Default().WireCongestionWeight
+			}
+		}
+		eng := core.New(nl, pl, cfg.Delay, ecfg)
+		st, err := eng.RunContext(ctx)
+		if err != nil {
+			return nil, err
+		}
+		o.Netlist, o.Placement, o.EngineStats = eng.Netlist, eng.Placement, st
+	}
+	if err := checkDesign(o.Netlist, o.Placement); err != nil {
+		return nil, fmt.Errorf("%s produced %w", algo, err)
+	}
+	return o, nil
+}
+
+// Measure is the measure stage: placement-level STA and worst-path
+// monotonicity of nl placed as pl, then, unless cfg.SkipRouting, the
+// W∞ route and the W_min search plus W_ls route on f. It also returns
+// the STA the metrics were read from.
+func Measure(ctx context.Context, nl *netlist.Netlist, pl *placement.Placement, f *arch.FPGA, cfg Config) (Metrics, *timing.Analysis, error) {
 	var m Metrics
-	a, err := timing.Analyze(nl, pl, cfg.Delay)
+	a, err := timing.AnalyzeContext(ctx, nl, pl, cfg.Delay)
 	if err != nil {
-		return m, err
+		return m, nil, err
 	}
 	m.PlacePeriod = a.Period
 	m.Blocks = nl.NumLUTs() + nl.NumIOs()
@@ -291,21 +369,27 @@ func measure(nl *netlist.Netlist, pl *placement.Placement, f *arch.FPGA, cfg Con
 		m.WInf = a.Period
 		m.WLs = math.NaN()
 		m.Wire = estimateWire(nl, pl)
-		return m, nil
+		return m, a, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return m, nil, err
 	}
 	inf, err := route.Infinite(nl, pl, f, cfg.Delay, route.Defaults())
 	if err != nil {
-		return m, err
+		return m, nil, err
 	}
 	m.WInf = inf.CritPath
+	if err := ctx.Err(); err != nil {
+		return m, nil, err
+	}
 	ls, w, err := route.LowStress(nl, pl, f, cfg.Delay, route.Defaults())
 	if err != nil {
-		return m, err
+		return m, nil, err
 	}
 	m.WLs = ls.CritPath
 	m.Wire = float64(ls.WireLength)
 	m.Wmin = w
-	return m, nil
+	return m, a, nil
 }
 
 // estimateWire is the placement-level stand-in for routed wirelength:
@@ -313,7 +397,7 @@ func measure(nl *netlist.Netlist, pl *placement.Placement, f *arch.FPGA, cfg Con
 func estimateWire(nl *netlist.Netlist, pl *placement.Placement) float64 {
 	total := 0.0
 	nl.Nets(func(n *netlist.Net) {
-		total += wireNetCost(nl, pl, n.ID)
+		total += wire.NetCost(nl, pl, n.ID, nil)
 	})
 	return total
 }
@@ -335,64 +419,26 @@ type Result struct {
 // RunAlgorithm optimizes a copy of the baseline design with the given
 // algorithm and measures it.
 func RunAlgorithm(b *Baseline, algo Algorithm, cfg Config) (*Result, error) {
-	res := &Result{Name: b.Spec.Name, Algorithm: algo}
-	nl := b.Netlist.Clone()
-	pl := b.Placement.Clone()
-	switch algo {
-	case VPRBaseline:
-		// Nothing to do.
-	case LocalRep:
-		runs := cfg.LocalRepRuns
-		if runs <= 0 {
-			runs = 3
-		}
-		opt := localrep.Defaults()
-		opt.Seed = cfg.Seed
-		var st *localrep.Stats
-		var err error
-		nl, pl, st, err = localrep.BestOf(nl, pl, cfg.Delay, opt, runs)
-		if err != nil {
-			return nil, err
-		}
-		res.LocalStats = st
-	default:
-		ecfg := cfg.Engine
-		ecfg.Mode = algo.Mode()
-		if cfg.CongestionFeedback && !cfg.SkipRouting {
-			rr, err := route.Infinite(nl, pl, b.FPGA, cfg.Delay, route.Defaults())
-			if err != nil {
-				return nil, err
-			}
-			ecfg.WireCongestion = rr.TileUsage
-			if ecfg.WireCongestionWeight == 0 {
-				ecfg.WireCongestionWeight = core.Default().WireCongestionWeight
-			}
-		}
-		eng := core.New(nl, pl, cfg.Delay, ecfg)
-		st, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		nl, pl = eng.Netlist, eng.Placement
-		res.EngineStats = st
+	ctx := context.Background()
+	o, err := Optimize(ctx, b.Netlist.Clone(), b.Placement.Clone(), b.FPGA, algo, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("flow: %s: %w", b.Spec.Name, err)
 	}
-	if err := CheckDesign(nl, pl); err != nil {
-		return nil, fmt.Errorf("flow: %s/%s produced %w", b.Spec.Name, algo, err)
-	}
-	var err error
-	res.Metrics, err = measure(nl, pl, b.FPGA, cfg)
+	m, _, err := Measure(ctx, o.Netlist, o.Placement, b.FPGA, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.Norm = res.Metrics.Normalized(b.Metrics)
-	return res, nil
+	return &Result{
+		Name: b.Spec.Name, Algorithm: algo,
+		Metrics: m, Norm: m.Normalized(b.Metrics),
+		EngineStats: o.EngineStats, LocalStats: o.LocalStats,
+	}, nil
 }
 
-// CheckDesign verifies that an optimizer left a usable design: the
-// netlist passes Validate and the placement is legal. Every entry point
-// that runs an optimizer — RunAlgorithm here, the repld job runner and
-// cmd/rtembed — calls it on the result before measuring it.
-func CheckDesign(nl *netlist.Netlist, pl *placement.Placement) error {
+// checkDesign verifies that an optimizer left a usable design: the
+// netlist passes Validate and the placement is legal. Optimize runs it
+// on every result, so no front end measures or returns a broken one.
+func checkDesign(nl *netlist.Netlist, pl *placement.Placement) error {
 	if err := nl.Validate(); err != nil {
 		return fmt.Errorf("invalid netlist: %w", err)
 	}

@@ -18,14 +18,12 @@ func quickCfg() Config {
 	cfg.PlaceEffort = 1
 	cfg.Engine.MaxIters = 60
 	cfg.Engine.Patience = 8
-	cfg.LocalRepRuns = 2
 	return cfg
 }
 
-// TestCheckDesign pins the post-optimization check shared by
-// RunAlgorithm and the repld job runner: it accepts a valid, legally
-// placed design and rejects an invalid netlist and an over-capacity
-// placement.
+// TestCheckDesign pins the post-optimization check the optimize stage
+// runs for every front end: it accepts a valid, legally placed design
+// and rejects an invalid netlist and an over-capacity placement.
 func TestCheckDesign(t *testing.T) {
 	build := func() (*netlist.Netlist, *placement.Placement) {
 		nl := netlist.New("chk")
@@ -44,7 +42,7 @@ func TestCheckDesign(t *testing.T) {
 		return nl, pl
 	}
 	nl, pl := build()
-	if err := CheckDesign(nl, pl); err != nil {
+	if err := checkDesign(nl, pl); err != nil {
 		t.Fatalf("valid design rejected: %v", err)
 	}
 
@@ -52,14 +50,14 @@ func TestCheckDesign(t *testing.T) {
 	m, _ := nl.CellByName("m")
 	pl.Remove(m)
 	pl.Place(m, arch.Loc{X: 1, Y: 1}) // on top of l in a one-LUT slot
-	if err := CheckDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "illegal placement") {
+	if err := checkDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "illegal placement") {
 		t.Fatalf("over-capacity placement: got %v, want an illegal-placement error", err)
 	}
 
 	nl, pl = build()
 	l, _ := nl.CellByName("l")
 	nl.Cell(l).Out = netlist.None // a LUT that drives nothing
-	if err := CheckDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "invalid netlist") {
+	if err := checkDesign(nl, pl); err == nil || !strings.Contains(err.Error(), "invalid netlist") {
 		t.Fatalf("corrupted netlist: got %v, want an invalid-netlist error", err)
 	}
 }

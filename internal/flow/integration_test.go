@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -69,41 +70,29 @@ func TestCongestionFeedbackPipeline(t *testing.T) {
 }
 
 // TestOptimizedNetlistRoundTrips: the optimized netlist (with replicas)
-// survives serialization, and its timing is reproducible after a
-// round trip.
+// survives serialization with its structure intact.
 func TestOptimizedNetlistRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
 	}
 	cfg := quickCfg()
 	cfg.SkipRouting = true
-	spec, _ := circuits.ByName("misex3")
+	// dsip, because Lex-2 on it keeps replicas at this scale; on some
+	// circuits every replica is unified again and the LUT count is flat.
+	spec, _ := circuits.ByName("dsip")
 	b, err := RunBaseline(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunAlgorithm(b, Lex2, cfg)
+	o, err := Optimize(context.Background(), b.Netlist.Clone(), b.Placement.Clone(), b.FPGA, Lex2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = r
-	// Re-run to get the mutated netlist (RunAlgorithm measures a
-	// clone; use the engine directly through core for the artifact).
-	// Simplest: generate, optimize in-process via the flow again but
-	// capture through the stats — serialization is what we test here,
-	// so round-trip the baseline netlist plus a manual replica.
-	nl := b.Netlist.Clone()
-	var anyLUT netlist.CellID = netlist.None
-	nl.Cells(func(c *netlist.Cell) {
-		if anyLUT == netlist.None && c.Kind == netlist.LUT && len(nl.Net(c.Out).Sinks) > 1 {
-			anyLUT = c.ID
-		}
-	})
-	if anyLUT == netlist.None {
-		t.Skip("no multi-fanout LUT")
+	nl := o.Netlist
+	if nl.NumLUTs() <= b.Netlist.NumLUTs() {
+		t.Fatalf("Lex-2 left %d LUTs, baseline has %d: no replica to round-trip",
+			nl.NumLUTs(), b.Netlist.NumLUTs())
 	}
-	rep := nl.Replicate(anyLUT)
-	nl.MoveSink(nl.Net(nl.Cell(anyLUT).Out).Sinks[0], rep.ID)
 
 	var sb strings.Builder
 	if err := nl.Write(&sb); err != nil {
@@ -122,7 +111,7 @@ func TestOptimizedNetlistRoundTrips(t *testing.T) {
 	// Note: equivalence-class IDs are not serialized (they are an
 	// in-memory optimization artifact); structure must still match.
 	if back.NumNets() != nl.NumNets() {
-		t.Errorf("round trip changed net count")
+		t.Errorf("round trip changed net count: %d vs %d", back.NumNets(), nl.NumNets())
 	}
 }
 

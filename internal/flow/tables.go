@@ -6,16 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/netlist"
-	"repro/internal/placement"
-	"repro/internal/wire"
 )
-
-// wireNetCost avoids exporting the estimate helper from flow.go's
-// import list twice; it is the q(n)-corrected half-perimeter.
-func wireNetCost(nl *netlist.Netlist, pl *placement.Placement, id netlist.NetID) float64 {
-	return wire.NetCost(nl, pl, id, nil)
-}
 
 // FormatTableI renders baseline measurements in the layout of the
 // paper's Table I.

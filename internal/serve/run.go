@@ -6,13 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/localrep"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/timing"
 )
@@ -26,12 +22,12 @@ const defaultScale = 0.2
 const defaultEffort = 2.0
 
 // ExecuteJob runs one replication job start to finish: resolve the
-// design, place it, optimize it with the selected algorithm under ctx,
-// and optionally route. It is the Manager's default Runner. The result
-// is deterministic for identical specs, because the placer is
-// seed-driven and the engine is serial and deterministic. Like
-// flow.RunAlgorithm, it rejects an optimized design that fails
-// flow.CheckDesign.
+// design, then flow's place and optimize stages under ctx, and
+// optionally the W_ls route. It is the Manager's default Runner. The
+// result is deterministic for identical specs, because the placer is
+// seed-driven and the engine is serial and deterministic. Like every
+// flow front end, it never returns an optimized design that fails
+// flow.Optimize's validity and legality check.
 func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	// Normalized() applies every semantic default exactly once; the
 	// cluster layer hashes the same normal form, so two specs with
@@ -49,8 +45,12 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 
-	dm := arch.DefaultDelayModel()
-	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	cfg := flow.Defaults()
+	cfg.Seed = spec.Seed
+	cfg.PlaceEffort = spec.Effort
+	if spec.MaxIters > 0 {
+		cfg.Engine.MaxIters = spec.MaxIters
+	}
 	res := &Result{
 		Circuit: nl.Name,
 		Algo:    algo.String(),
@@ -58,12 +58,8 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		IOs:     nl.NumIOs(),
 	}
 
-	popt := place.Defaults()
-	popt.Seed = spec.Seed
-	popt.Effort = spec.Effort
-	popt.Delay = dm
 	t0 := time.Now()
-	pl, err := place.PlaceContext(ctx, nl, f, popt)
+	pl, f, err := flow.Place(ctx, nl, cfg)
 	res.PlaceSeconds = time.Since(t0).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
@@ -72,38 +68,23 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 
-	a, err := timing.AnalyzeContext(ctx, nl, pl, dm)
+	a, err := timing.AnalyzeContext(ctx, nl, pl, cfg.Delay)
 	if err != nil {
 		return nil, err
 	}
 	res.PlacedPeriod = a.Period
 
 	t0 = time.Now()
-	switch algo {
-	case flow.VPRBaseline:
-		// The unoptimized placement is the result.
-	case flow.LocalRep:
-		opt := localrep.Defaults()
-		opt.Seed = popt.Seed
-		var st *localrep.Stats
-		nl, pl, st, err = localrep.BestOf(nl, pl, dm, opt, 3)
-		if err != nil {
-			return nil, fmt.Errorf("local replication: %w", err)
-		}
+	o, err := flow.Optimize(ctx, nl, pl, f, algo, cfg)
+	res.EngineSeconds = time.Since(t0).Seconds()
+	if err != nil {
+		return nil, err
+	}
+	if st := o.LocalStats; st != nil {
 		res.Iterations = st.Iterations
 		res.Replicated = st.Replicated
-	default:
-		ecfg := core.Default()
-		ecfg.Mode = algo.Mode()
-		if spec.MaxIters > 0 {
-			ecfg.MaxIters = spec.MaxIters
-		}
-		eng := core.New(nl, pl, dm, ecfg)
-		st, err := eng.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		nl, pl = eng.Netlist, eng.Placement
+	}
+	if st := o.EngineStats; st != nil {
 		res.Iterations = st.Iterations
 		res.Replicated = st.Replicated
 		res.Unified = st.Unified
@@ -112,12 +93,8 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		res.Phases = st.Phases
 		res.Incremental = st.Incremental
 	}
-	res.EngineSeconds = time.Since(t0).Seconds()
-	if err := flow.CheckDesign(nl, pl); err != nil {
-		return nil, fmt.Errorf("%s produced %w", algo, err)
-	}
 
-	a, err = timing.AnalyzeContext(ctx, nl, pl, dm)
+	a, err = timing.AnalyzeContext(ctx, o.Netlist, o.Placement, cfg.Delay)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +105,7 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 			return nil, err
 		}
 		t0 = time.Now()
-		ls, w, err := route.LowStress(nl, pl, f, dm, route.Defaults())
+		ls, w, err := route.LowStress(o.Netlist, o.Placement, f, cfg.Delay, route.Defaults())
 		res.RouteSeconds = time.Since(t0).Seconds()
 		if err != nil {
 			return nil, fmt.Errorf("route: %w", err)
